@@ -22,7 +22,10 @@ import (
 // loop bodies become recursive closures stepping the loop index, and
 // the final continuation k receives the finished vector. Iterations
 // that skip communication recurse directly (depth bounded by p, fine
-// at the p=4096 scale the backend exists for).
+// at the p=4096 scale the backend exists for). The hierarchical
+// tournament phases, which carry most of a paper-scale run's messages,
+// instead keep the loop index outside one reusable continuation, so a
+// round costs no closure allocation.
 
 // AlgorithmDES is the DES counterpart of Algorithm: every rank calls
 // it with its local vector, and k fires with the elementwise sum once
@@ -360,35 +363,50 @@ func HierarchicalSegmentDES(r *des.Rank, data []float32, lo, total int, k func([
 	}
 	g := len(group)
 
+	// tournament runs one intra-supernode phase as the blocking form's
+	// round loop: each round with a live chunk on either side ships
+	// send(pt) to partner pt and hands the reply to recv, then done
+	// fires. The loop state lives outside the continuation, so one
+	// closure serves every round instead of one per message.
+	tournament := func(send func(pt int) []float32, recv func(pt int, in []float32), done func()) {
+		round, pt := 0, 0
+		var step func()
+		next := func(in []float32) {
+			recv(pt, in)
+			round++
+			step()
+		}
+		step = func() {
+			for ; round < tournamentRounds(g); round++ {
+				pt = tournamentPartner(j, round, g)
+				if pt >= 0 && (chunkLive(pt) || chunkLive(j)) {
+					r.SendRecv(group[pt], send(pt), next)
+					return
+				}
+			}
+			done()
+		}
+		step()
+	}
+
 	// Phase C: intra-supernode allgather tournament; finished chunks
 	// are sent by reference, receivers copy out — as the blocking form.
-	var phaseC func(round int)
-	phaseC = func(round int) {
-		if round == tournamentRounds(g) {
-			k(out)
-			return
+	sendC := func(int) []float32 {
+		if !chunkLive(j) {
+			return nil
 		}
-		pt := tournamentPartner(j, round, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			phaseC(round + 1)
-			return
+		clo, chi := chunkAt(j)
+		return out[clo:chi]
+	}
+	recvC := func(pt int, in []float32) {
+		if chunkLive(pt) {
+			plo, _ := chunkAt(pt)
+			copy(out[plo:], in)
 		}
-		var send []float32
-		if chunkLive(j) {
-			clo, chi := chunkAt(j)
-			send = out[clo:chi]
-		}
-		r.SendRecv(group[pt], send, func(in []float32) {
-			if chunkLive(pt) {
-				plo, _ := chunkAt(pt)
-				copy(out[plo:], in)
-			}
-			phaseC(round + 1)
-		})
 	}
 	startC := func() {
 		hierPhaseDES(r, HierAllgather)
-		phaseC(0)
+		tournament(sendC, recvC, func() { k(out) })
 	}
 
 	// Phase B: RHD among chunk c's leaders on an InGroup view (j == c
@@ -428,36 +446,25 @@ func HierarchicalSegmentDES(r *des.Rank, data []float32, lo, total int, k func([
 	}
 
 	// Phase A: intra-supernode reduce-scatter tournament; sends are
-	// copies, owner j accumulates in tournament-round order — as the
-	// blocking form.
-	var phaseA func(round int)
-	phaseA = func(round int) {
-		if round == tournamentRounds(g) {
-			startB()
-			return
+	// views of the caller's unmodified data, owner j accumulates in
+	// tournament-round order — as the blocking form.
+	sendA := func(pt int) []float32 {
+		if !chunkLive(pt) {
+			return nil
 		}
-		pt := tournamentPartner(j, round, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			phaseA(round + 1)
-			return
-		}
-		var send []float32
-		if chunkLive(pt) {
-			plo, phi := chunkAt(pt)
-			send = append([]float32(nil), out[plo:phi]...)
-		}
-		r.SendRecv(group[pt], send, func(in []float32) {
-			if chunkLive(j) {
-				clo, _ := chunkAt(j)
-				for x, v := range in {
-					out[clo+x] += v
-				}
-				r.ChargeReduce(len(in))
-			}
-			phaseA(round + 1)
-		})
+		plo, phi := chunkAt(pt)
+		return data[plo:phi:phi]
 	}
-	phaseA(0)
+	recvA := func(_ int, in []float32) {
+		if chunkLive(j) {
+			clo, _ := chunkAt(j)
+			for x, v := range in {
+				out[clo+x] += v
+			}
+			r.ChargeReduce(len(in))
+		}
+	}
+	tournament(sendA, recvA, startB)
 }
 
 // hierPhaseHookDES is the DES twin of hierPhaseHook: it fires on every

@@ -114,9 +114,12 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 	// data for chunk pt and receives pt's contribution to chunk i;
 	// owner j therefore accumulates peer contributions in tournament-
 	// round order — a fixed association schedule shared by the barrier
-	// form and every segment. Sends are copies: the sender's backing
-	// array is overwritten in phase C before the (buffered) message is
-	// necessarily consumed.
+	// form and every segment. Sends are views of the caller's data, not
+	// of out: phase A writes only chunk j of out, so chunk pt holds the
+	// same floats in both, but phase C overwrites out's chunks before a
+	// buffered message is necessarily consumed, while data is never
+	// modified. The clipped capacity keeps receivers from appending
+	// into the caller's vector.
 	for r := 0; r < tournamentRounds(g); r++ {
 		pt := tournamentPartner(j, r, g)
 		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
@@ -125,7 +128,7 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 		var send []float32
 		if chunkLive(pt) {
 			plo, phi := chunkAt(pt)
-			send = append([]float32(nil), out[plo:phi]...)
+			send = data[plo:phi:phi]
 		}
 		in := n.SendRecv(group[pt], send)
 		if chunkLive(j) {

@@ -24,11 +24,29 @@
 // has a single fixed receiver and ranks are sequential); two parked
 // waiters on one link is a scheduler invariant violation worth a
 // panic.
+//
+// Message path: the per-message cost is what bounds paper-scale sweeps
+// (a p=1024 hierarchical all-reduce moves ~526k messages), so the path
+// is kept allocation-light. Links live in a per-run open-addressing
+// table keyed by the packed (src, dst) pair, whose link values sit in
+// pointer-stable blocks; the parked waiter is stored by value in its
+// link; an event carries its (clock, continuation, payload) directly
+// instead of a closure built per match. The unconsumed-message check is
+// one scan that keeps the lowest offending (src, dst), so its panic
+// names the same link a sorted walk would.
+//
+// Per-run state is deliberately not retained: the link table, event
+// heap and rank handles are built by each RunGather and left to the
+// collector afterwards. Caching them on the Cluster would keep every
+// link of the largest run alive between steps (at p=1024 that more than
+// doubles a trainer's live heap) for a saving the allocator already
+// makes cheaply.
 package des
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"swcaffe/internal/topology"
 )
@@ -71,7 +89,8 @@ type wire struct {
 // waiter is a rank parked on a link waiting for a wire. sendElems is
 // the outgoing payload size of a SendRecv (-1 for a plain Recv): the
 // full-duplex exchange charges one α+βn for the larger direction, so
-// the cost is resolved only when the incoming wire is known.
+// the cost is resolved only when the incoming wire is known. The zero
+// waiter (nil clock) means no receiver is parked.
 type waiter struct {
 	rank      int // world rank, for the event tie-break key
 	clock     *float64
@@ -80,72 +99,163 @@ type waiter struct {
 }
 
 // link is one directed (src, dst) FIFO. head indexes the first
-// undelivered wire so delivery is O(1) without reslicing churn.
+// undelivered wire so delivery is O(1) without reslicing churn; w is
+// the parked receiver, held by value.
 type link struct {
 	queue []wire
 	head  int
-	w     *waiter
+	w     waiter
 }
 
-// event is one scheduled continuation.
+func (l *link) parked() bool { return l.w.clock != nil }
+
+// event is one scheduled continuation: at time, set *clock = time and
+// resume k with data.
 type event struct {
-	time float64
-	rank int
-	seq  int64
-	fn   func()
+	time  float64
+	rank  int
+	seq   int64
+	clock *float64
+	k     func([]float32)
+	data  []float32
+}
+
+// before orders events by (time, rank, seq); seq is unique per run,
+// so the order is total.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	if e.rank != o.rank {
+		return e.rank < o.rank
+	}
+	return e.seq < o.seq
 }
 
 // eventHeap is a hand-rolled binary min-heap over (time, rank, seq).
+// Sifting moves a hole rather than swapping, so each level costs one
+// event copy.
 type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
-}
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	i := len(*h) - 1
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
+		if !e.before(&s[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 }
 
 func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // release the closure
-	*h = old[:n]
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // release the continuation and payload
+	s = s[:n]
+	*h = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).before(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		if r := least + 1; r < n && s[r].before(&s[least]) {
+			least = r
+		}
+		if !s[least].before(&last) {
+			break
+		}
+		s[i] = s[least]
+		i = least
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	return top
+}
+
+// linkBlock is the number of links allocated together; blocks never
+// move, so a *link stays valid while the table grows.
+const linkBlock = 256
+
+// linkSlot is one open-addressing slot: a packed (src, dst) key and the
+// 1-based index of its link in the blocks (0 = empty).
+type linkSlot struct {
+	key uint64
+	ref uint32
+}
+
+// linkTable maps a directed (src, dst) pair to its link: linear probing
+// over a power-of-two slot array with Fibonacci hashing of the packed
+// key. The slots hold no pointers, so the collector never scans them.
+type linkTable struct {
+	slots  []linkSlot
+	shift  uint // 64 - log2(len(slots))
+	blocks [][]link
+	n      int
+}
+
+func linkKey(src, dst int) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
+
+func unpackKey(key uint64) [2]int { return [2]int{int(key >> 32), int(uint32(key))} }
+
+func (t *linkTable) at(ref uint32) *link {
+	i := int(ref - 1)
+	return &t.blocks[i/linkBlock][i%linkBlock]
+}
+
+func (t *linkTable) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// get returns the link of (src, dst), creating it on first use.
+func (t *linkTable) get(src, dst int) *link {
+	key := linkKey(src, dst)
+	if mask := len(t.slots) - 1; mask > 0 {
+		for i := t.home(key); t.slots[i].ref != 0; i = (i + 1) & mask {
+			if t.slots[i].key == key {
+				return t.at(t.slots[i].ref)
+			}
+		}
+	}
+	if 4*(t.n+1) > 3*len(t.slots) { // keep the load factor at most 3/4
+		t.grow()
+	}
+	if t.n%linkBlock == 0 {
+		t.blocks = append(t.blocks, make([]link, linkBlock))
+	}
+	t.n++
+	ref := uint32(t.n)
+	t.insert(key, ref)
+	return t.at(ref)
+}
+
+func (t *linkTable) insert(key uint64, ref uint32) {
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for t.slots[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = linkSlot{key: key, ref: ref}
+}
+
+func (t *linkTable) grow() {
+	old := t.slots
+	size := max(2*len(old), 64)
+	t.slots = make([]linkSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, sl := range old {
+		if sl.ref != 0 {
+			t.insert(sl.key, sl.ref)
+		}
+	}
 }
 
 // runState is the private state of one RunGather: links, the event
@@ -153,7 +263,7 @@ func (h *eventHeap) pop() event {
 // goroutine).
 type runState struct {
 	cluster  *Cluster
-	links    map[[2]int]*link
+	links    linkTable
 	heap     eventHeap
 	seq      int64
 	finished int
@@ -162,16 +272,6 @@ type runState struct {
 	msgs       int64
 	crossMsgs  int64
 	crossBytes int64
-}
-
-func (rs *runState) link(src, dst int) *link {
-	key := [2]int{src, dst}
-	l, ok := rs.links[key]
-	if !ok {
-		l = &link{}
-		rs.links[key] = l
-	}
-	return l
 }
 
 // Rank is the per-rank handle passed to DES collective bodies: the
@@ -252,10 +352,10 @@ func (r *Rank) Send(peer int, data []float32) {
 	}
 	alpha, transfer := r.cluster.linkCost(src, dst, len(data))
 	r.countMsg(src, dst, len(data))
-	l := r.run.link(src, dst)
+	l := r.run.links.get(src, dst)
 	l.queue = append(l.queue, wire{data: data, sendTime: *r.clock})
 	*r.clock += alpha + transfer
-	if l.w != nil {
+	if l.parked() {
 		r.run.match(src, dst, l)
 	}
 }
@@ -279,20 +379,20 @@ func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
 		panic("des: sendrecv with self")
 	}
 	r.countMsg(src, dst, len(sendData))
-	l := r.run.link(src, dst)
+	l := r.run.links.get(src, dst)
 	l.queue = append(l.queue, wire{data: sendData, sendTime: *r.clock})
-	if l.w != nil {
+	if l.parked() {
 		r.run.match(src, dst, l)
 	}
 	r.park(dst, src, len(sendData), k)
 }
 
 func (r *Rank) park(src, dst, sendElems int, k func([]float32)) {
-	l := r.run.link(src, dst)
-	if l.w != nil {
+	l := r.run.links.get(src, dst)
+	if l.parked() {
 		panic(fmt.Sprintf("des: second receiver parked on link [%d %d]", src, dst))
 	}
-	l.w = &waiter{rank: r.WorldRank(), clock: r.clock, sendElems: sendElems, k: k}
+	l.w = waiter{rank: r.WorldRank(), clock: r.clock, sendElems: sendElems, k: k}
 	if l.head < len(l.queue) {
 		r.run.match(src, dst, l)
 	}
@@ -302,7 +402,7 @@ func (r *Rank) park(src, dst, sendElems int, k func([]float32)) {
 // schedules the continuation on the heap at the arrival time.
 func (rs *runState) match(src, dst int, l *link) {
 	w := l.w
-	l.w = nil
+	l.w = waiter{}
 	m := l.queue[l.head]
 	l.queue[l.head] = wire{}
 	l.head++
@@ -321,11 +421,7 @@ func (rs *runState) match(src, dst int, l *link) {
 	// Associate exactly as simnet.Recv does — (start + α) + βn — so
 	// clocks stay bit-identical to the goroutine backend.
 	t = t + alpha + transfer
-	clock, k, data := w.clock, w.k, m.data
-	rs.heap.push(event{time: t, rank: w.rank, seq: rs.seq, fn: func() {
-		*clock = t
-		k(data)
-	}})
+	rs.heap.push(event{time: t, rank: w.rank, seq: rs.seq, clock: w.clock, k: w.k, data: m.data})
 	rs.seq++
 }
 
@@ -411,7 +507,6 @@ func (c *Cluster) Run(body func(r *Rank)) Result {
 func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 	rs := &runState{
 		cluster: c,
-		links:   make(map[[2]int]*link),
 		results: make([][]float32, c.P),
 	}
 	ranks := make([]*Rank, c.P)
@@ -428,23 +523,11 @@ func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 		panic(fmt.Sprintf("des: deadlock — %d of %d ranks finished, parked waiters on links %v",
 			rs.finished, c.P, rs.parkedLinks()))
 	}
-	// A completed collective must have consumed every message it sent;
-	// iterate the links in sorted key order so the panic is
-	// deterministic.
-	keys := make([][2]int, 0, len(rs.links))
-	for k := range rs.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		if l := rs.links[k]; l.head < len(l.queue) {
-			panic(fmt.Sprintf("des: unconsumed message on link %v", k))
-		}
+	// A completed collective must have consumed every message it sent.
+	// The packed key orders links by (src, dst), so keeping the lowest
+	// offender makes the panic deterministic without sorting.
+	if key, ok := rs.lowestUnconsumed(); ok {
+		panic(fmt.Sprintf("des: unconsumed message on link %v", unpackKey(key)))
 	}
 	res := Result{Clocks: make([]float64, c.P), Msgs: rs.msgs,
 		CrossMsgs: rs.crossMsgs, CrossBytes: rs.crossBytes}
@@ -457,21 +540,36 @@ func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 	return res, rs.results
 }
 
+// lowestUnconsumed returns the smallest packed (src, dst) key of a
+// link with undelivered wires.
+func (rs *runState) lowestUnconsumed() (uint64, bool) {
+	var low uint64
+	found := false
+	for _, sl := range rs.links.slots {
+		if sl.ref == 0 || (found && sl.key >= low) {
+			continue
+		}
+		if l := rs.links.at(sl.ref); l.head < len(l.queue) {
+			low, found = sl.key, true
+		}
+	}
+	return low, found
+}
+
 // parkedLinks lists the (src, dst) keys with a parked waiter, sorted,
 // for the deadlock diagnostic.
 func (rs *runState) parkedLinks() [][2]int {
-	var parked [][2]int
-	for k, l := range rs.links {
-		if l.w != nil {
-			parked = append(parked, k)
+	var keys []uint64
+	for _, sl := range rs.links.slots {
+		if sl.ref != 0 && rs.links.at(sl.ref).parked() {
+			keys = append(keys, sl.key)
 		}
 	}
-	sort.Slice(parked, func(i, j int) bool {
-		if parked[i][0] != parked[j][0] {
-			return parked[i][0] < parked[j][0]
-		}
-		return parked[i][1] < parked[j][1]
-	})
+	slices.Sort(keys)
+	parked := make([][2]int, len(keys))
+	for i, k := range keys {
+		parked[i] = unpackKey(k)
+	}
 	return parked
 }
 
@@ -482,7 +580,8 @@ func seed(r *Rank, body func(r *Rank)) {
 
 func runEvent(ev event) {
 	defer rewrap(ev.rank)
-	ev.fn()
+	*ev.clock = ev.time
+	ev.k(ev.data)
 }
 
 // rewrap converts a rank-code panic into RankPanic, preserving an

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -308,4 +310,102 @@ func TestSecondWaiterPanics(t *testing.T) {
 		}
 		r.Finish(nil)
 	})
+}
+
+// TestUnconsumedPanicNamesLowestLink: with several links left holding
+// messages, the panic names the lowest (src, dst) — the link a sorted
+// walk would report first — whatever the table's slot order.
+func TestUnconsumedPanicNamesLowestLink(t *testing.T) {
+	c := testCluster(16)
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok || msg != "des: unconsumed message on link [1 5]" {
+			t.Fatalf("unexpected panic: %q", msg)
+		}
+	}()
+	c.Run(func(r *Rank) {
+		defer r.Finish(nil)
+		switch {
+		case r.Rank == 0:
+			r.Send(1, []float32{1}) // consumed below: [0 1] must not be named
+		case r.Rank == 1:
+			r.Send(5, []float32{1})
+			r.Recv(0, func([]float32) {})
+		default:
+			r.Send((r.Rank*5+1)%16, []float32{1})
+			if r.Rank == 15 {
+				r.Send(2, []float32{1})
+			}
+		}
+	})
+}
+
+// TestDeadlockListsParkedLinksSorted: every parked link appears in the
+// deadlock panic, in ascending (src, dst) order.
+func TestDeadlockListsParkedLinksSorted(t *testing.T) {
+	c := testCluster(6)
+	defer func() {
+		msg, ok := recover().(string)
+		want := "des: deadlock — 1 of 6 ranks finished, parked waiters on links [[0 5] [2 1] [3 2] [4 3] [5 4]]"
+		if !ok || msg != want {
+			t.Fatalf("unexpected panic: %q", msg)
+		}
+	}()
+	c.Run(func(r *Rank) {
+		if r.Rank == 0 {
+			r.Finish(nil)
+			return
+		}
+		r.Recv((r.Rank+1)%6, func([]float32) { r.Finish(nil) })
+	})
+}
+
+// TestEventHeapRandomOrder: the heap pops any interleaving of pushes
+// in exact (time, rank, seq) order, across several tree depths and
+// with heavy ties on time and rank.
+func TestEventHeapRandomOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var want []event
+	seq := int64(0)
+	for round := 0; round < 50; round++ {
+		for n := rng.Intn(200); n > 0; n-- {
+			e := event{time: float64(rng.Intn(8)), rank: rng.Intn(5), seq: seq}
+			seq++
+			h.push(e)
+			want = append(want, e)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
+		for pops := rng.Intn(len(want) + 1); pops > 0; pops-- {
+			got := h.pop()
+			if got.time != want[0].time || got.rank != want[0].rank || got.seq != want[0].seq {
+				t.Fatalf("round %d: popped (%v,%d,%d), want (%v,%d,%d)", round,
+					got.time, got.rank, got.seq, want[0].time, want[0].rank, want[0].seq)
+			}
+			want = want[1:]
+		}
+	}
+}
+
+// TestLinkTableStablePointers: links keep their identity and contents
+// while the table grows, and distinct (src, dst) pairs never alias.
+func TestLinkTableStablePointers(t *testing.T) {
+	var tab linkTable
+	type pair struct{ src, dst int }
+	first := map[pair]*link{}
+	for src := 0; src < 70; src++ {
+		for dst := 0; dst < 70; dst++ {
+			l := tab.get(src, dst)
+			l.head = src*70 + dst
+			first[pair{src, dst}] = l
+		}
+	}
+	if tab.n != 70*70 {
+		t.Fatalf("table holds %d links, want %d", tab.n, 70*70)
+	}
+	for k, l := range first {
+		if got := tab.get(k.src, k.dst); got != l || got.head != k.src*70+k.dst {
+			t.Fatalf("link %v moved or aliased after growth", k)
+		}
+	}
 }

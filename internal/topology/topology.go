@@ -17,6 +17,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // SupernodeSize is q, the number of nodes per supernode on TaihuLight.
@@ -159,7 +160,48 @@ func SameSupernode(m Mapping, a, b, p int) bool {
 // message between two ranks of one group travels an intra-supernode
 // (Beta1) link regardless of the logical numbering, because groups are
 // keyed by the *physical* supernode the mapping assigns.
+//
+// For the built-in mappings the result is memoized per (mapping, p)
+// and shared between callers, so the returned groups are read-only:
+// every rank of a hierarchical all-reduce asks for the same p-element
+// structure. Any other Mapping is computed fresh on every call (it may
+// not be comparable, and its Supernode need not be a pure function).
 func Members(m Mapping, p int) [][]int {
+	switch m.(type) {
+	case AdjacentMapping, RoundRobinMapping:
+	default:
+		return members(m, p)
+	}
+	key := membersKey{m, p}
+	membersMemo.Lock()
+	defer membersMemo.Unlock()
+	if g, ok := membersMemo.groups[key]; ok {
+		return g
+	}
+	if len(membersMemo.groups) >= membersMemoCap {
+		clear(membersMemo.groups) // a sweep over many sizes; start over
+	}
+	g := members(m, p)
+	membersMemo.groups[key] = g
+	return g
+}
+
+// membersKey holds only the comparable built-in mappings.
+type membersKey struct {
+	m Mapping
+	p int
+}
+
+// membersMemoCap bounds the memo: a sweep over every p up to 4096 would
+// otherwise pin O(p²) ints.
+const membersMemoCap = 64
+
+var membersMemo = struct {
+	sync.Mutex
+	groups map[membersKey][][]int
+}{groups: map[membersKey][][]int{}}
+
+func members(m Mapping, p int) [][]int {
 	bySN := map[int][]int{}
 	var order []int
 	for r := 0; r < p; r++ {

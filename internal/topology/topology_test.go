@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -189,4 +191,74 @@ func TestMembersLeadersMinGroupSize(t *testing.T) {
 			t.Fatalf("%s p=%d: MinGroupSize %d, want %d", tc.m.Name(), tc.p, ms, tc.minSize)
 		}
 	}
+}
+
+// TestMembersMemoMatchesFresh: the memoized groups of both built-in
+// mappings equal a fresh computation, and a repeat call is served from
+// the memo.
+func TestMembersMemoMatchesFresh(t *testing.T) {
+	for _, m := range []Mapping{AdjacentMapping{Q: 256}, RoundRobinMapping{Q: 256}} {
+		for _, p := range []int{1, 7, 255, 256, 1000, 1024, 4096} {
+			got := Members(m, p)
+			if want := members(m, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s p=%d: memoized groups differ from a fresh computation", m.Name(), p)
+			}
+			if again := Members(m, p); &again[0][0] != &got[0][0] {
+				t.Fatalf("%s p=%d: repeat call was not served from the memo", m.Name(), p)
+			}
+		}
+	}
+}
+
+// tableMapping is a non-comparable Mapping: a slice field makes it
+// unusable as a map key.
+type tableMapping struct{ sn []int }
+
+func (m tableMapping) Supernode(r, p int) int { return m.sn[r] }
+func (m tableMapping) Name() string           { return "table" }
+
+// TestMembersCustomMappingNotCached: a non-comparable custom mapping
+// neither panics nor enters the memo; each call sees the mapping as it
+// is now.
+func TestMembersCustomMappingNotCached(t *testing.T) {
+	m := tableMapping{sn: []int{1, 0, 1, 0}}
+	size := func() int {
+		membersMemo.Lock()
+		defer membersMemo.Unlock()
+		return len(membersMemo.groups)
+	}
+	before := size()
+	if got, want := Members(m, 4), [][]int{{1, 3}, {0, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups %v, want %v", got, want)
+	}
+	m.sn[0], m.sn[1] = 0, 1
+	if got, want := Members(m, 4), [][]int{{0, 3}, {1, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after remapping: groups %v, want %v (stale memo?)", got, want)
+	}
+	if after := size(); after != before {
+		t.Fatalf("custom mapping entered the memo: %d -> %d entries", before, after)
+	}
+}
+
+// TestMembersConcurrent: concurrent callers over more distinct keys
+// than the memo holds all see correct groups (run under -race).
+func TestMembersConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for p := 1; p <= 2*membersMemoCap; p++ {
+				m := Mapping(AdjacentMapping{Q: 4 + w%2})
+				if w >= 2 {
+					m = RoundRobinMapping{Q: 4}
+				}
+				if got := Members(m, p); !reflect.DeepEqual(got, members(m, p)) {
+					t.Errorf("%s p=%d: wrong groups under concurrency", m.Name(), p)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
