@@ -28,8 +28,8 @@ func integerInputs(p, length int) [][]float32 {
 // TestHierarchicalDESPaperScaleGolden runs the hierarchical all-reduce
 // on the event backend at the paper's scale (q = 256) for a full and a
 // ragged world, and pins the outputs to the exact serial sum, the
-// traffic census and the makespan. At ~500k messages per run the
-// backend's link table grows several times.
+// traffic census and the makespan. At ~500k messages per run every
+// rank's inbox is filled and drained many times over.
 func TestHierarchicalDESPaperScaleGolden(t *testing.T) {
 	cases := []struct {
 		p                   int
@@ -65,6 +65,25 @@ func TestHierarchicalDESPaperScaleGolden(t *testing.T) {
 		if got := fmt.Sprintf("%x", res.Time); got != tc.makespan {
 			t.Fatalf("p=%d makespan %s, want %s", tc.p, got, tc.makespan)
 		}
+	}
+}
+
+// TestHierarchicalDES1024AllocBudget bounds the heap allocations of one
+// hierarchical all-reduce on the event backend at the paper-scale
+// shape. The run is single-threaded, so its malloc count is
+// deterministic; about 51k allocations fit well inside the budget,
+// while a per-link or per-message allocation (~260k links, ~526k
+// messages) would break it.
+func TestHierarchicalDES1024AllocBudget(t *testing.T) {
+	const p, budget = 1024, 100_000
+	cl := des.NewCluster(topology.Sunway(), topology.AdjacentMapping{Q: 256}, p)
+	inputs := integerInputs(p, paperGrads)
+	allocs := testing.AllocsPerRun(1, func() {
+		cl.RunGather(func(r *des.Rank) { HierarchicalDES(r, inputs[r.Rank], r.Finish) })
+	})
+	t.Logf("%.0f allocations per p=%d hierarchical all-reduce (budget %d)", allocs, p, budget)
+	if allocs > budget {
+		t.Fatalf("%.0f allocations per all-reduce, budget %d", allocs, budget)
 	}
 }
 

@@ -117,7 +117,7 @@ func checkDESMatch(t *testing.T, name string, p, q, length int, wantOut [][]floa
 }
 
 // TestDESDeterministicAcrossRuns: two DES runs of the same schedule
-// must agree exactly — the (time, rank, seq) tie-break leaves no room
+// must agree exactly — the (time, rank) tie-break leaves no room
 // for iteration-order or timing noise.
 func TestDESDeterministicAcrossRuns(t *testing.T) {
 	net := sunwayQ(4)

@@ -6,8 +6,10 @@
 // OS scheduling — the refactor that makes paper-scale functional
 // sweeps (p = 1024/4096) feasible in CI.
 //
-// Determinism: events are keyed by (simTime, world rank, seq) with seq
-// a per-run monotonic counter, so ties on the simulated clock break
+// Determinism: events are keyed by (simTime, world rank). A rank has
+// at most one pending event at a time (see the execution model below),
+// so no two events in the heap share a rank and the key is a total
+// order without a sequence number: ties on the simulated clock break
 // identically on every run and under every GOMAXPROCS. Because the
 // collective bodies form a Kahn process network over per-(src,dst)
 // FIFO links (blocking receives, data-independent control flow), any
@@ -17,35 +19,39 @@
 //
 // Execution model: a rank's program runs inline until it needs a
 // message; Recv/SendRecv take an explicit continuation and park the
-// rank on the link. Matching a parked waiter with a queued wire always
-// goes through the event heap — never by direct call — so the stack
-// fully unwinds between hops and depth stays bounded by the rank's own
-// comm-free code. At most one waiter can be parked per link (each link
-// has a single fixed receiver and ranks are sequential); two parked
-// waiters on one link is a scheduler invariant violation worth a
-// panic.
+// rank. Matching a parked receive with a wire always goes through the
+// event heap — never by direct call — so the stack fully unwinds
+// between hops and depth stays bounded by the rank's own comm-free
+// code. Every rank body makes each Recv/SendRecv a tail call, so a
+// rank is parked on at most one link, and has at most one pending
+// event, at any time: from its park until its continuation runs, a
+// rank cannot park again. A second park in that window is a scheduler
+// invariant violation worth a panic.
 //
 // Message path: the per-message cost is what bounds paper-scale sweeps
-// (a p=1024 hierarchical all-reduce moves ~526k messages), so the path
-// is kept allocation-light. Links live in a per-run open-addressing
-// table keyed by the packed (src, dst) pair, whose link values sit in
-// pointer-stable blocks; the parked waiter is stored by value in its
-// link; an event carries its (clock, continuation, payload) directly
-// instead of a closure built per match. The unconsumed-message check is
-// one scan that keeps the lowest offending (src, dst), so its panic
+// (a p=1024 hierarchical all-reduce moves ~526k messages over ~261k
+// distinct links), so all message state is kept per rank rather than
+// per link. Each rank's entry holds its clock, its parked receive (the
+// awaited source and the continuation), the pending event's payload
+// and an inbox of unmatched wires in send order. A send matches
+// directly when the receiver is parked on its source and otherwise
+// appends to the receiver's inbox; a park takes the first inbox wire
+// from its source. Either way each (src, dst) link stays FIFO. An
+// event is only (time, rank): the continuation and payload wait in the
+// rank's entry. The supernode check is made once per message, when the
+// wire is posted. The unconsumed-message check is one scan of the
+// inboxes that keeps the lowest offending (src, dst), so its panic
 // names the same link a sorted walk would.
 //
-// Per-run state is deliberately not retained: the link table, event
-// heap and rank handles are built by each RunGather and left to the
-// collector afterwards. Caching them on the Cluster would keep every
-// link of the largest run alive between steps (at p=1024 that more than
-// doubles a trainer's live heap) for a saving the allocator already
-// makes cheaply.
+// Per-run state is deliberately not retained: the per-rank entries,
+// inboxes, event heap and rank handles are built by each RunGather and
+// left to the collector afterwards. Caching them on the Cluster would
+// keep the largest run's buffers alive between steps for a saving the
+// allocator already makes cheaply.
 package des
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"swcaffe/internal/topology"
@@ -75,64 +81,59 @@ func NewCluster(net *topology.Network, mapping topology.Mapping, p int) *Cluster
 	return &Cluster{Net: net, Mapping: mapping, P: p, BytesPerElem: 4}
 }
 
-func (c *Cluster) linkCost(a, b int, elems int) (alpha, transfer float64) {
+// linkCost prices one message of elems values on a link whose
+// endpoints share a supernode (same) or not.
+func (c *Cluster) linkCost(same bool, elems int) (alpha, transfer float64) {
 	bytes := int64(float64(elems) * c.BytesPerElem)
-	same := topology.SameSupernode(c.Mapping, a, b, c.P)
 	return c.Net.Alpha(bytes), float64(bytes) * c.Net.Beta(same)
 }
 
+// wire is one sent message: its payload, the sender's clock at the
+// send, its world-rank source and whether the link stays inside a
+// supernode (computed once, when the wire is posted).
 type wire struct {
 	data     []float32
 	sendTime float64
+	src      int
+	same     bool
 }
 
-// waiter is a rank parked on a link waiting for a wire. sendElems is
-// the outgoing payload size of a SendRecv (-1 for a plain Recv): the
-// full-duplex exchange charges one α+βn for the larger direction, so
-// the cost is resolved only when the incoming wire is known. The zero
-// waiter (nil clock) means no receiver is parked.
-type waiter struct {
-	rank      int // world rank, for the event tie-break key
-	clock     *float64
+// rankState is everything the scheduler keeps for one world rank. A
+// rank is parked on at most one link and has at most one pending event
+// at a time, so the parked receive and the pending event's payload fit
+// in one entry each. k is set from the park until the event runs;
+// waitSrc names the link's source while no wire has matched yet
+// (-1 = none). sendElems is the outgoing payload size of a SendRecv
+// (-1 for a plain Recv): the full-duplex exchange charges one α+βn for
+// the larger direction, so the cost is resolved only when the incoming
+// wire is known. inbox holds the wires sent to this rank and not yet
+// received, in send order.
+type rankState struct {
+	clock     float64
+	waitSrc   int
 	sendElems int
 	k         func([]float32)
+	data      []float32
+	inbox     []wire
 }
 
-// link is one directed (src, dst) FIFO. head indexes the first
-// undelivered wire so delivery is O(1) without reslicing churn; w is
-// the parked receiver, held by value.
-type link struct {
-	queue []wire
-	head  int
-	w     waiter
-}
-
-func (l *link) parked() bool { return l.w.clock != nil }
-
-// event is one scheduled continuation: at time, set *clock = time and
-// resume k with data.
+// event schedules the pending continuation of rank at time; the
+// continuation and its payload wait in the rank's state.
 type event struct {
-	time  float64
-	rank  int
-	seq   int64
-	clock *float64
-	k     func([]float32)
-	data  []float32
+	time float64
+	rank int
 }
 
-// before orders events by (time, rank, seq); seq is unique per run,
-// so the order is total.
+// before orders events by (time, rank). A rank has at most one pending
+// event, so no two events share a rank and the order is total.
 func (e *event) before(o *event) bool {
 	if e.time != o.time {
 		return e.time < o.time
 	}
-	if e.rank != o.rank {
-		return e.rank < o.rank
-	}
-	return e.seq < o.seq
+	return e.rank < o.rank
 }
 
-// eventHeap is a hand-rolled binary min-heap over (time, rank, seq).
+// eventHeap is a hand-rolled binary min-heap over (time, rank).
 // Sifting moves a hole rather than swapping, so each level costs one
 // event copy.
 type eventHeap []event
@@ -157,7 +158,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = event{} // release the continuation and payload
 	s = s[:n]
 	*h = s
 	i := 0
@@ -181,91 +181,17 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// linkBlock is the number of links allocated together; blocks never
-// move, so a *link stays valid while the table grows.
-const linkBlock = 256
-
-// linkSlot is one open-addressing slot: a packed (src, dst) key and the
-// 1-based index of its link in the blocks (0 = empty).
-type linkSlot struct {
-	key uint64
-	ref uint32
-}
-
-// linkTable maps a directed (src, dst) pair to its link: linear probing
-// over a power-of-two slot array with Fibonacci hashing of the packed
-// key. The slots hold no pointers, so the collector never scans them.
-type linkTable struct {
-	slots  []linkSlot
-	shift  uint // 64 - log2(len(slots))
-	blocks [][]link
-	n      int
-}
-
 func linkKey(src, dst int) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
 func unpackKey(key uint64) [2]int { return [2]int{int(key >> 32), int(uint32(key))} }
 
-func (t *linkTable) at(ref uint32) *link {
-	i := int(ref - 1)
-	return &t.blocks[i/linkBlock][i%linkBlock]
-}
-
-func (t *linkTable) home(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
-}
-
-// get returns the link of (src, dst), creating it on first use.
-func (t *linkTable) get(src, dst int) *link {
-	key := linkKey(src, dst)
-	if mask := len(t.slots) - 1; mask > 0 {
-		for i := t.home(key); t.slots[i].ref != 0; i = (i + 1) & mask {
-			if t.slots[i].key == key {
-				return t.at(t.slots[i].ref)
-			}
-		}
-	}
-	if 4*(t.n+1) > 3*len(t.slots) { // keep the load factor at most 3/4
-		t.grow()
-	}
-	if t.n%linkBlock == 0 {
-		t.blocks = append(t.blocks, make([]link, linkBlock))
-	}
-	t.n++
-	ref := uint32(t.n)
-	t.insert(key, ref)
-	return t.at(ref)
-}
-
-func (t *linkTable) insert(key uint64, ref uint32) {
-	mask := len(t.slots) - 1
-	i := t.home(key)
-	for t.slots[i].ref != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = linkSlot{key: key, ref: ref}
-}
-
-func (t *linkTable) grow() {
-	old := t.slots
-	size := max(2*len(old), 64)
-	t.slots = make([]linkSlot, size)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, sl := range old {
-		if sl.ref != 0 {
-			t.insert(sl.key, sl.ref)
-		}
-	}
-}
-
-// runState is the private state of one RunGather: links, the event
-// heap, and the traffic census (plain ints — the whole run is one
-// goroutine).
+// runState is the private state of one RunGather: per-rank state, the
+// event heap, and the traffic census (plain ints — the whole run is
+// one goroutine).
 type runState struct {
 	cluster  *Cluster
-	links    linkTable
+	ranks    []rankState
 	heap     eventHeap
-	seq      int64
 	finished int
 	results  [][]float32
 
@@ -282,16 +208,16 @@ type Rank struct {
 	Rank    int
 	cluster *Cluster
 	run     *runState
-	clock   *float64
-	group   []int // nil = world view; else group-rank -> world-rank
+	st      *rankState // the world rank's scheduler entry, clock included
+	group   []int      // nil = world view; else group-rank -> world-rank
 	done    bool
 }
 
 // Clock returns the rank's logical time in seconds.
-func (r *Rank) Clock() float64 { return *r.clock }
+func (r *Rank) Clock() float64 { return r.st.clock }
 
 // AdvanceClock adds local computation time.
-func (r *Rank) AdvanceClock(dt float64) { *r.clock += dt }
+func (r *Rank) AdvanceClock(dt float64) { r.st.clock += dt }
 
 // P returns the communicator size.
 func (r *Rank) P() int {
@@ -331,15 +257,30 @@ func (r *Rank) InGroup(ranks []int) *Rank {
 	if idx < 0 {
 		panic(fmt.Sprintf("des: rank %d not a member of group %v", r.Rank, ranks))
 	}
-	return &Rank{Rank: idx, cluster: r.cluster, run: r.run, clock: r.clock, group: ranks}
+	return &Rank{Rank: idx, cluster: r.cluster, run: r.run, st: r.st, group: ranks}
 }
 
-func (r *Rank) countMsg(src, dst, elems int) {
-	r.run.msgs++
-	if !topology.SameSupernode(r.cluster.Mapping, src, dst, r.cluster.P) {
-		r.run.crossMsgs++
-		r.run.crossBytes += int64(float64(elems) * r.cluster.BytesPerElem)
+// post counts a message of data from src to dst and delivers it at the
+// sender's current clock: matched at once when dst is parked on src,
+// queued in dst's inbox otherwise. A receiver parked on src cannot
+// have an earlier wire from src queued (its park would have taken it),
+// so either way each link stays FIFO. The supernode check is made once
+// here; the wire carries it to the cost function.
+func (r *Rank) post(src, dst int, data []float32) (same bool) {
+	rs := r.run
+	same = topology.SameSupernode(r.cluster.Mapping, src, dst, r.cluster.P)
+	rs.msgs++
+	if !same {
+		rs.crossMsgs++
+		rs.crossBytes += int64(float64(len(data)) * r.cluster.BytesPerElem)
 	}
+	w := wire{data: data, sendTime: r.st.clock, src: src, same: same}
+	if st := &rs.ranks[dst]; st.waitSrc == src {
+		rs.match(dst, st, w)
+	} else {
+		st.inbox = append(st.inbox, w)
+	}
+	return same
 }
 
 // Send posts data to peer and occupies the sender for the full α+βn,
@@ -350,14 +291,9 @@ func (r *Rank) Send(peer int, data []float32) {
 	if dst == src {
 		panic("des: send to self")
 	}
-	alpha, transfer := r.cluster.linkCost(src, dst, len(data))
-	r.countMsg(src, dst, len(data))
-	l := r.run.links.get(src, dst)
-	l.queue = append(l.queue, wire{data: data, sendTime: *r.clock})
-	*r.clock += alpha + transfer
-	if l.parked() {
-		r.run.match(src, dst, l)
-	}
+	same := r.post(src, dst, data)
+	alpha, transfer := r.cluster.linkCost(same, len(data))
+	r.st.clock += alpha + transfer
 }
 
 // Recv parks the rank until a message from peer arrives, then resumes
@@ -366,8 +302,7 @@ func (r *Rank) Send(peer int, data []float32) {
 // after a Recv call runs before the continuation — structure rank
 // programs so Recv is a tail call.
 func (r *Rank) Recv(peer int, k func([]float32)) {
-	src, dst := r.world(peer), r.WorldRank()
-	r.park(src, dst, -1, k)
+	r.park(r.world(peer), -1, k)
 }
 
 // SendRecv posts sendData to peer and parks for the reply; the
@@ -378,51 +313,44 @@ func (r *Rank) SendRecv(peer int, sendData []float32, k func([]float32)) {
 	if dst == src {
 		panic("des: sendrecv with self")
 	}
-	r.countMsg(src, dst, len(sendData))
-	l := r.run.links.get(src, dst)
-	l.queue = append(l.queue, wire{data: sendData, sendTime: *r.clock})
-	if l.parked() {
-		r.run.match(src, dst, l)
-	}
-	r.park(dst, src, len(sendData), k)
+	r.post(src, dst, sendData)
+	r.park(dst, len(sendData), k)
 }
 
-func (r *Rank) park(src, dst, sendElems int, k func([]float32)) {
-	l := r.run.links.get(src, dst)
-	if l.parked() {
+// park waits for the next wire from src: the first one already in the
+// inbox, or the next one posted. A rank whose previous receive has not
+// yet resumed cannot park again.
+func (r *Rank) park(src, sendElems int, k func([]float32)) {
+	st, dst := r.st, r.WorldRank()
+	if st.k != nil {
 		panic(fmt.Sprintf("des: second receiver parked on link [%d %d]", src, dst))
 	}
-	l.w = waiter{rank: r.WorldRank(), clock: r.clock, sendElems: sendElems, k: k}
-	if l.head < len(l.queue) {
-		r.run.match(src, dst, l)
+	st.k, st.sendElems = k, sendElems
+	for i, w := range st.inbox {
+		if w.src == src {
+			st.inbox = slices.Delete(st.inbox, i, i+1)
+			r.run.match(dst, st, w)
+			return
+		}
 	}
+	st.waitSrc = src
 }
 
-// match resolves the link's parked waiter against its head wire and
-// schedules the continuation on the heap at the arrival time.
-func (rs *runState) match(src, dst int, l *link) {
-	w := l.w
-	l.w = waiter{}
-	m := l.queue[l.head]
-	l.queue[l.head] = wire{}
-	l.head++
-	if l.head == len(l.queue) {
-		l.queue, l.head = l.queue[:0], 0
-	}
-	elems := len(m.data)
-	if w.sendElems > elems {
-		elems = w.sendElems
-	}
-	alpha, transfer := rs.cluster.linkCost(src, dst, elems)
-	t := *w.clock
-	if m.sendTime > t {
-		t = m.sendTime
+// match resolves dst's parked receive against w and schedules the
+// continuation on the heap at the arrival time.
+func (rs *runState) match(dst int, st *rankState, w wire) {
+	st.waitSrc = -1
+	elems := max(len(w.data), st.sendElems)
+	alpha, transfer := rs.cluster.linkCost(w.same, elems)
+	t := st.clock
+	if w.sendTime > t {
+		t = w.sendTime
 	}
 	// Associate exactly as simnet.Recv does — (start + α) + βn — so
 	// clocks stay bit-identical to the goroutine backend.
 	t = t + alpha + transfer
-	rs.heap.push(event{time: t, rank: w.rank, seq: rs.seq, clock: w.clock, k: w.k, data: m.data})
-	rs.seq++
+	st.data = w.data
+	rs.heap.push(event{time: t, rank: dst})
 }
 
 // ChargeReduce accounts a local elementwise reduction of elems values,
@@ -433,7 +361,7 @@ func (r *Rank) ChargeReduce(elems int) {
 	if r.cluster.ReduceOnCPE {
 		rate = r.cluster.Net.GammaCPE
 	}
-	*r.clock += bytes * rate
+	r.st.clock += bytes * rate
 }
 
 // Finish records the rank's result and marks its program complete.
@@ -507,17 +435,19 @@ func (c *Cluster) Run(body func(r *Rank)) Result {
 func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 	rs := &runState{
 		cluster: c,
+		ranks:   make([]rankState, c.P),
 		results: make([][]float32, c.P),
 	}
-	ranks := make([]*Rank, c.P)
-	for i := range ranks {
-		ranks[i] = &Rank{Rank: i, cluster: c, run: rs, clock: new(float64)}
+	handles := make([]Rank, c.P)
+	for i := range handles {
+		rs.ranks[i].waitSrc = -1
+		handles[i] = Rank{Rank: i, cluster: c, run: rs, st: &rs.ranks[i]}
 	}
-	for _, r := range ranks {
-		seed(r, body)
+	for i := range handles {
+		seed(&handles[i], body)
 	}
 	for len(rs.heap) > 0 {
-		runEvent(rs.heap.pop())
+		rs.runEvent(rs.heap.pop())
 	}
 	if rs.finished != c.P {
 		panic(fmt.Sprintf("des: deadlock — %d of %d ranks finished, parked waiters on links %v",
@@ -531,38 +461,38 @@ func (c *Cluster) RunGather(body func(r *Rank)) (Result, [][]float32) {
 	}
 	res := Result{Clocks: make([]float64, c.P), Msgs: rs.msgs,
 		CrossMsgs: rs.crossMsgs, CrossBytes: rs.crossBytes}
-	for i, r := range ranks {
-		res.Clocks[i] = *r.clock
-		if *r.clock > res.Time {
-			res.Time = *r.clock
+	for i := range rs.ranks {
+		clock := rs.ranks[i].clock
+		res.Clocks[i] = clock
+		if clock > res.Time {
+			res.Time = clock
 		}
 	}
 	return res, rs.results
 }
 
 // lowestUnconsumed returns the smallest packed (src, dst) key of a
-// link with undelivered wires.
+// wire left in an inbox.
 func (rs *runState) lowestUnconsumed() (uint64, bool) {
 	var low uint64
 	found := false
-	for _, sl := range rs.links.slots {
-		if sl.ref == 0 || (found && sl.key >= low) {
-			continue
-		}
-		if l := rs.links.at(sl.ref); l.head < len(l.queue) {
-			low, found = sl.key, true
+	for dst := range rs.ranks {
+		for _, w := range rs.ranks[dst].inbox {
+			if key := linkKey(w.src, dst); !found || key < low {
+				low, found = key, true
+			}
 		}
 	}
 	return low, found
 }
 
-// parkedLinks lists the (src, dst) keys with a parked waiter, sorted,
-// for the deadlock diagnostic.
+// parkedLinks lists the (src, dst) links with a parked receiver,
+// sorted, for the deadlock diagnostic.
 func (rs *runState) parkedLinks() [][2]int {
 	var keys []uint64
-	for _, sl := range rs.links.slots {
-		if sl.ref != 0 && rs.links.at(sl.ref).parked() {
-			keys = append(keys, sl.key)
+	for dst := range rs.ranks {
+		if src := rs.ranks[dst].waitSrc; src >= 0 {
+			keys = append(keys, linkKey(src, dst))
 		}
 	}
 	slices.Sort(keys)
@@ -578,10 +508,17 @@ func seed(r *Rank, body func(r *Rank)) {
 	body(r)
 }
 
-func runEvent(ev event) {
+// runEvent resumes the event's rank: its clock jumps to the arrival
+// time and its continuation runs on the matched payload. Both are
+// cleared from the rank's state first, so they are released and the
+// continuation may park again.
+func (rs *runState) runEvent(ev event) {
 	defer rewrap(ev.rank)
-	*ev.clock = ev.time
-	ev.k(ev.data)
+	st := &rs.ranks[ev.rank]
+	st.clock = ev.time
+	k, data := st.k, st.data
+	st.k, st.data = nil, nil
+	k(data)
 }
 
 // rewrap converts a rank-code panic into RankPanic, preserving an

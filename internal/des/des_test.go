@@ -2,10 +2,12 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
@@ -21,7 +23,7 @@ func testCluster(p int) *Cluster {
 func TestPingPongClocks(t *testing.T) {
 	c := testCluster(2)
 	payload := []float32{1, 2, 3, 4}
-	alpha, transfer := c.linkCost(0, 1, len(payload))
+	alpha, transfer := c.linkCost(topology.SameSupernode(c.Mapping, 0, 1, c.P), len(payload))
 
 	res, outs := c.RunGather(func(r *Rank) {
 		switch r.Rank {
@@ -195,25 +197,25 @@ func TestContinuationPanicCarriesRank(t *testing.T) {
 }
 
 // TestEventHeapTieBreak pins the scheduler's total order directly:
-// events pop by (simTime, world rank, seq), so ties on the simulated
-// clock break by rank and then by scheduling sequence — never by
-// insertion accident.
+// events pop by (simTime, world rank), so ties on the simulated clock
+// break by rank — never by insertion accident. A rank has at most one
+// pending event, so the ranks below are distinct.
 func TestEventHeapTieBreak(t *testing.T) {
 	events := []event{
-		{time: 2, rank: 0, seq: 9},
-		{time: 1, rank: 3, seq: 4},
-		{time: 1, rank: 1, seq: 7},
-		{time: 1, rank: 1, seq: 2},
-		{time: 0, rank: 5, seq: 8},
-		{time: 1, rank: 3, seq: 1},
+		{time: 2, rank: 0},
+		{time: 1, rank: 3},
+		{time: 1, rank: 1},
+		{time: 0, rank: 5},
+		{time: 1, rank: 2},
+		{time: 0, rank: 4},
 	}
 	want := []event{
-		{time: 0, rank: 5, seq: 8},
-		{time: 1, rank: 1, seq: 2},
-		{time: 1, rank: 1, seq: 7},
-		{time: 1, rank: 3, seq: 1},
-		{time: 1, rank: 3, seq: 4},
-		{time: 2, rank: 0, seq: 9},
+		{time: 0, rank: 4},
+		{time: 0, rank: 5},
+		{time: 1, rank: 1},
+		{time: 1, rank: 2},
+		{time: 1, rank: 3},
+		{time: 2, rank: 0},
 	}
 	// Every insertion order must yield the same pop order.
 	for shift := 0; shift < len(events); shift++ {
@@ -222,10 +224,8 @@ func TestEventHeapTieBreak(t *testing.T) {
 			h.push(events[(i+shift)%len(events)])
 		}
 		for i := range want {
-			got := h.pop()
-			if got.time != want[i].time || got.rank != want[i].rank || got.seq != want[i].seq {
-				t.Fatalf("shift %d pop %d: got (%v,%d,%d) want (%v,%d,%d)",
-					shift, i, got.time, got.rank, got.seq, want[i].time, want[i].rank, want[i].seq)
+			if got := h.pop(); got != want[i] {
+				t.Fatalf("shift %d pop %d: got %+v want %+v", shift, i, got, want[i])
 			}
 		}
 	}
@@ -361,51 +361,140 @@ func TestDeadlockListsParkedLinksSorted(t *testing.T) {
 }
 
 // TestEventHeapRandomOrder: the heap pops any interleaving of pushes
-// in exact (time, rank, seq) order, across several tree depths and
-// with heavy ties on time and rank.
+// in exact (time, rank) order, across several tree depths and with
+// heavy ties on time. As in a run, each pending event has its own rank;
+// a rank is drawn again only after its event has popped.
 func TestEventHeapRandomOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	free := make([]int, 256)
+	for i := range free {
+		free[i] = i
+	}
 	var h eventHeap
 	var want []event
-	seq := int64(0)
 	for round := 0; round < 50; round++ {
-		for n := rng.Intn(200); n > 0; n-- {
-			e := event{time: float64(rng.Intn(8)), rank: rng.Intn(5), seq: seq}
-			seq++
+		for n := rng.Intn(len(free) + 1); n > 0; n-- {
+			i := rng.Intn(len(free))
+			e := event{time: float64(rng.Intn(8)), rank: free[i]}
+			free[i] = free[len(free)-1]
+			free = free[:len(free)-1]
 			h.push(e)
 			want = append(want, e)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
 		for pops := rng.Intn(len(want) + 1); pops > 0; pops-- {
-			got := h.pop()
-			if got.time != want[0].time || got.rank != want[0].rank || got.seq != want[0].seq {
-				t.Fatalf("round %d: popped (%v,%d,%d), want (%v,%d,%d)", round,
-					got.time, got.rank, got.seq, want[0].time, want[0].rank, want[0].seq)
+			if got := h.pop(); got != want[0] {
+				t.Fatalf("round %d: popped %+v, want %+v", round, got, want[0])
 			}
+			free = append(free, want[0].rank)
 			want = want[1:]
 		}
 	}
 }
 
-// TestLinkTableStablePointers: links keep their identity and contents
-// while the table grows, and distinct (src, dst) pairs never alias.
-func TestLinkTableStablePointers(t *testing.T) {
-	var tab linkTable
-	type pair struct{ src, dst int }
-	first := map[pair]*link{}
-	for src := 0; src < 70; src++ {
-		for dst := 0; dst < 70; dst++ {
-			l := tab.get(src, dst)
-			l.head = src*70 + dst
-			first[pair{src, dst}] = l
+// TestInboxPerLinkFIFO: wires from two sources share the receiver's
+// inbox, and the receiver takes them in an order other than arrival
+// order. Each (src, dst) link must still deliver in send order, with
+// clocks hex-identical to the goroutine backend's. Rank 2 sits across
+// the supernode boundary, so both link prices are exercised.
+func TestInboxPerLinkFIFO(t *testing.T) {
+	net := topology.Sunway()
+	net.SupernodeSize = 2
+	mapping := topology.AdjacentMapping{Q: 2}
+	order := []int{2, 0, 0, 2, 2, 0}
+	// payload i of src is tagged 10*src+i and has its own length, so
+	// a reordering would change both the tags and the clocks.
+	payload := func(src, i int) []float32 {
+		out := make([]float32, 1+2*src+i)
+		for j := range out {
+			out[j] = float32(10*src + i)
+		}
+		return out
+	}
+	want := []float32{20, 0, 1, 21, 22, 2}
+
+	gres, gouts := simnet.NewCluster(net, mapping, 3).RunGather(func(n *simnet.Node) []float32 {
+		if n.Rank != 1 {
+			for i := 0; i < 3; i++ {
+				n.Send(1, payload(n.Rank, i))
+			}
+			return nil
+		}
+		var got []float32
+		for _, src := range order {
+			got = append(got, n.Recv(src)[0])
+			n.AdvanceClock(1e-6)
+		}
+		return got
+	})
+	dres, douts := NewCluster(net, mapping, 3).RunGather(func(r *Rank) {
+		if r.Rank != 1 {
+			for i := 0; i < 3; i++ {
+				r.Send(1, payload(r.Rank, i))
+			}
+			r.Finish(nil)
+			return
+		}
+		var got []float32
+		var next func(step int)
+		next = func(step int) {
+			if step == len(order) {
+				r.Finish(got)
+				return
+			}
+			r.Recv(order[step], func(data []float32) {
+				got = append(got, data[0])
+				r.AdvanceClock(1e-6)
+				next(step + 1)
+			})
+		}
+		next(0)
+	})
+
+	for name, got := range map[string][]float32{"goroutine": gouts[1], "des": douts[1]} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s backend received %v, want %v", name, got, want)
 		}
 	}
-	if tab.n != 70*70 {
-		t.Fatalf("table holds %d links, want %d", tab.n, 70*70)
-	}
-	for k, l := range first {
-		if got := tab.get(k.src, k.dst); got != l || got.head != k.src*70+k.dst {
-			t.Fatalf("link %v moved or aliased after growth", k)
+	for i := range gres.Clocks {
+		if g, d := gres.Clocks[i], dres.Clocks[i]; g != d {
+			t.Fatalf("rank %d clock: des %x, goroutine %x", i, d, g)
 		}
+	}
+	if gres.Time != dres.Time || gres.Msgs != dres.Msgs || gres.CrossMsgs != dres.CrossMsgs ||
+		gres.CrossBytes != dres.CrossBytes {
+		t.Fatalf("result differs: des %+v, goroutine %+v", dres, gres)
+	}
+}
+
+// TestRankParksOnceAtATime: a rank whose receive has not yet resumed —
+// still parked, or matched with its continuation pending — must not
+// park on a second link. Every rank body keeps its receives as tail
+// calls, and the scheduler relies on it.
+func TestRankParksOnceAtATime(t *testing.T) {
+	for _, matched := range []bool{false, true} {
+		c := testCluster(3)
+		func() {
+			defer func() {
+				rp, ok := recover().(RankPanic)
+				if !ok || rp.FailedRank() != 1 ||
+					!strings.Contains(rp.Error(), "second receiver parked on link [2 1]") {
+					t.Fatalf("matched=%v: expected second-receiver panic on rank 1, got %v", matched, rp)
+				}
+			}()
+			c.Run(func(r *Rank) {
+				switch r.Rank {
+				case 0:
+					if matched {
+						r.Send(1, []float32{1})
+					}
+				case 1:
+					r.Recv(0, func([]float32) {})
+					r.Recv(2, func([]float32) {})
+					return
+				}
+				r.Finish(nil)
+			})
+		}()
 	}
 }
