@@ -46,20 +46,39 @@ func Canonical(name string) string {
 	return name
 }
 
-// ByName returns a named algorithm.
-func ByName(name string) (Algorithm, error) {
+// BodyByName returns the continuation-passing body of a named
+// built-in algorithm, the form both backends run.
+func BodyByName(name string) (Body, error) {
 	switch Canonical(name) {
 	case NameRing:
-		return Ring, nil
+		return ringSegment, nil
 	case NameBinomial:
-		return BinomialTree, nil
+		return binomialTree, nil
 	case NameRHD:
-		return RecursiveHalvingDoubling, nil
+		return recursiveHalvingDoubling, nil
 	case NameHierarchical:
-		return Hierarchical, nil
+		return hierarchicalSegment, nil
 	default:
 		return nil, fmt.Errorf("allreduce: unknown algorithm %q (valid: %v)", name, Names())
 	}
+}
+
+// ByName returns the blocking goroutine-backend form of a named
+// built-in algorithm over a whole vector.
+func ByName(name string) (Algorithm, error) {
+	body, err := BodyByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return func(n *simnet.Node, data []float32) []float32 {
+		return runBody(n, body, data, 0, len(data))
+	}, nil
+}
+
+// runBody runs body over the [lo, lo+len(data)) segment on a blocking
+// node.
+func runBody(n *simnet.Node, body Body, data []float32, lo, total int) []float32 {
+	return OnNode(n, func(c Comm, k func([]float32)) { body(c, data, lo, total, k) })
 }
 
 // --- ring ---------------------------------------------------------------
@@ -91,10 +110,16 @@ func Ring(n *simnet.Node, data []float32) []float32 {
 // primitive behind the collective engine's ring overlap. With
 // lo=0, total=len(data) the schedule degenerates to the classic ring.
 func RingSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
-	p := n.P()
+	return runBody(n, ringSegment, data, lo, total)
+}
+
+// ringSegment is the body of RingSegment.
+func ringSegment(c Comm, data []float32, lo, total int, k func([]float32)) {
+	p := c.P()
 	out := append([]float32(nil), data...)
 	if p == 1 {
-		return out
+		k(out)
+		return
 	}
 	hi := lo + len(data)
 	bounds := chunkBounds(total, p)
@@ -106,47 +131,62 @@ func RingSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
 		c0 = chunkIndexAt(bounds, lo)
 		c1 = chunkIndexAt(bounds, hi)
 	}
-	inSeg := func(c int) bool { return c0 <= c && c < c1 }
+	inSeg := func(ch int) bool { return c0 <= ch && ch < c1 }
 
-	r := n.Rank
+	r := c.Index()
 	next := (r + 1) % p
 	prev := (r - 1 + p) % p
 
 	// Reduce-scatter: in step s, send chunk (r-s) to the next rank and
 	// receive + reduce chunk (r-s-1) from the previous one — when the
-	// chunk belongs to this segment.
-	for s := 0; s < p-1; s++ {
+	// chunk belongs to this segment. Allgather: circulate the finished
+	// chunks around the ring.
+	var rsStep, agStep func(s int)
+	rsStep = func(s int) {
+		if s == p-1 {
+			agStep(0)
+			return
+		}
 		sendIdx := ((r-s)%p + p) % p
 		recvIdx := ((r-s-1)%p + p) % p
 		if inSeg(sendIdx) {
 			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
-			n.Send(next, chunk)
+			c.Send(next, append([]float32(nil), out[slo:shi]...))
 		}
 		if inSeg(recvIdx) {
-			in := n.Recv(prev)
-			rlo := bounds[recvIdx] - lo
-			for i, v := range in {
-				out[rlo+i] += v
-			}
-			n.ChargeReduce(len(in))
+			c.Recv(prev, func(in []float32) {
+				rlo := bounds[recvIdx] - lo
+				for i, v := range in {
+					out[rlo+i] += v
+				}
+				c.ChargeReduce(len(in))
+				rsStep(s + 1)
+			})
+			return
 		}
+		rsStep(s + 1)
 	}
-	// Allgather: circulate the finished chunks around the ring.
-	for s := 0; s < p-1; s++ {
+	agStep = func(s int) {
+		if s == p-1 {
+			k(out)
+			return
+		}
 		sendIdx := ((r+1-s)%p + p) % p
 		recvIdx := ((r-s)%p + p) % p
 		if inSeg(sendIdx) {
 			slo, shi := bounds[sendIdx]-lo, bounds[sendIdx+1]-lo
-			chunk := append([]float32(nil), out[slo:shi]...)
-			n.Send(next, chunk)
+			c.Send(next, append([]float32(nil), out[slo:shi]...))
 		}
 		if inSeg(recvIdx) {
-			in := n.Recv(prev)
-			copy(out[bounds[recvIdx]-lo:], in)
+			c.Recv(prev, func(in []float32) {
+				copy(out[bounds[recvIdx]-lo:], in)
+				agStep(s + 1)
+			})
+			return
 		}
+		agStep(s + 1)
 	}
-	return out
+	rsStep(0)
 }
 
 // chunkIndexAt returns the chunk index whose lower bound equals off,
@@ -185,41 +225,69 @@ func ChunkBounds(n, p int) []int { return chunkBounds(n, p) }
 // result back down: 2·log p rounds each moving the full vector. This
 // is the naive MPI_Reduce + MPI_Bcast composition.
 func BinomialTree(n *simnet.Node, data []float32) []float32 {
-	p := n.P()
+	return runBody(n, binomialTree, data, 0, len(data))
+}
+
+// binomialTree is the body of BinomialTree.
+func binomialTree(c Comm, data []float32, _, _ int, k func([]float32)) {
+	p := c.P()
 	out := append([]float32(nil), data...)
-	r := n.Rank
-	// Reduce phase (MPICH binomial reduce to root 0).
-	for mask := 1; mask < p; mask <<= 1 {
+	r := c.Index()
+
+	// Broadcast phase (MPICH binomial bcast from root 0): climb to the
+	// first set bit (the parent link), then replay the down-send ladder
+	// from there. downSend contains no receives, so it runs inline.
+	downSend := func(mask int) {
+		for ; mask > 0; mask >>= 1 {
+			if r+mask < p && r&(mask-1) == 0 && r&mask == 0 {
+				c.Send(r+mask, out)
+			}
+		}
+		k(out)
+	}
+	bcast := func() {
+		mask := 1
+		for mask < p {
+			if r&mask != 0 {
+				m := mask
+				c.Recv(r-m, func(res []float32) {
+					copy(out, res)
+					downSend(m >> 1)
+				})
+				return
+			}
+			mask <<= 1
+		}
+		downSend(mask >> 1)
+	}
+
+	// Reduce phase (MPICH binomial reduce to root 0); a rank that ships
+	// to its parent breaks straight to the broadcast. The up-send is by
+	// reference.
+	var reduce func(mask int)
+	reduce = func(mask int) {
+		if mask >= p {
+			bcast()
+			return
+		}
 		if r&mask != 0 {
-			n.Send(r-mask, out)
-			break
+			c.Send(r-mask, out)
+			bcast()
+			return
 		}
 		if r+mask < p {
-			in := n.Recv(r + mask)
-			for i, v := range in {
-				out[i] += v
-			}
-			n.ChargeReduce(len(in))
+			c.Recv(r+mask, func(in []float32) {
+				for i, v := range in {
+					out[i] += v
+				}
+				c.ChargeReduce(len(in))
+				reduce(mask << 1)
+			})
+			return
 		}
+		reduce(mask << 1)
 	}
-	// Broadcast phase (MPICH binomial bcast from root 0).
-	mask := 1
-	for mask < p {
-		if r&mask != 0 {
-			res := n.Recv(r - mask)
-			copy(out, res)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if r+mask < p && r&(mask-1) == 0 && r&mask == 0 {
-			n.Send(r+mask, out)
-		}
-		mask >>= 1
-	}
-	return out
+	reduce(1)
 }
 
 // --- recursive halving / doubling ----------------------------------------
@@ -234,88 +302,123 @@ func BinomialTree(n *simnet.Node, data []float32) []float32 {
 // mapping: under topology.RoundRobinMapping the large early halving
 // exchanges (distance pow2/2, ..., p/q) stay inside one supernode.
 func RecursiveHalvingDoubling(n *simnet.Node, data []float32) []float32 {
-	p := n.P()
+	return runBody(n, recursiveHalvingDoubling, data, 0, len(data))
+}
+
+// recursiveHalvingDoubling is the body of RecursiveHalvingDoubling. It
+// runs on world and group views alike: the hierarchical schedule's
+// leader phase calls it on an InGroup view.
+func recursiveHalvingDoubling(c Comm, data []float32, _, _ int, k func([]float32)) {
+	p := c.P()
 	out := append([]float32(nil), data...)
 	if p == 1 {
-		return out
+		k(out)
+		return
 	}
 	pow2 := 1
 	for pow2*2 <= p {
 		pow2 *= 2
 	}
 	rem := p - pow2
-	r := n.Rank
+	r := c.Index()
 
-	// Fold: ranks >= pow2 ship their vector to (rank - pow2), wait for
-	// the final result.
+	// Fold: ranks >= pow2 ship their vector to (rank - pow2) and wait
+	// for the final result.
 	if r >= pow2 {
-		n.Send(r-pow2, out)
-		res := n.Recv(r - pow2)
-		copy(out, res)
-		return out
+		c.Send(r-pow2, out)
+		c.Recv(r-pow2, func(res []float32) {
+			copy(out, res)
+			k(out)
+		})
+		return
 	}
+
+	core := func() {
+		// Pad the working vector to a multiple of pow2 so halving is
+		// exact.
+		padded := len(out)
+		if padded%pow2 != 0 {
+			padded += pow2 - padded%pow2
+		}
+		work := make([]float32, padded)
+		copy(work, out)
+
+		// The halving rounds push the span they keep; the doubling
+		// rounds pop them. h is the exchange in flight. The loop state
+		// lives outside the two continuations, so a round allocates no
+		// closure.
+		type span struct{ off, cnt, peer, d int }
+		var history []span
+		var h span
+		off, cnt := 0, padded
+
+		// Allgather by recursive doubling: replay the halving history in
+		// reverse. At each step the rank owns exactly the span it kept at
+		// the matching halving step; the peer owns the complementary
+		// half of the parent span. Then unfold: ship the finished result
+		// to the folded partner.
+		var double func()
+		doubled := func(in []float32) {
+			otherOff := h.off - h.cnt
+			if r&h.d == 0 { // we kept the lower half, peer has the upper
+				otherOff = h.off + h.cnt
+			}
+			copy(work[otherOff:otherOff+h.cnt], in)
+			double()
+		}
+		double = func() {
+			if len(history) == 0 {
+				copy(out, work[:len(out)])
+				if r < rem {
+					c.Send(r+pow2, out)
+				}
+				k(out)
+				return
+			}
+			h = history[len(history)-1]
+			history = history[:len(history)-1]
+			c.SendRecv(h.peer, append([]float32(nil), work[h.off:h.off+h.cnt]...), doubled)
+		}
+
+		// Reduce-scatter by recursive halving: exchange with peers at
+		// distance pow2/2, pow2/4, ..., 1, halving the live span each
+		// time.
+		var halve func()
+		halved := func(in []float32) {
+			for i, v := range in {
+				work[h.off+i] += v
+			}
+			c.ChargeReduce(h.cnt)
+			history = append(history, h)
+			off, cnt = h.off, h.cnt
+			halve()
+		}
+		halve = func() {
+			d := pow2 >> (len(history) + 1)
+			if d < 1 {
+				double()
+				return
+			}
+			half := cnt / 2
+			h = span{off: off + half, cnt: half, peer: r ^ d, d: d}
+			sendOff := off
+			if r&d == 0 {
+				h.off, sendOff = off, off+half
+			}
+			c.SendRecv(h.peer, append([]float32(nil), work[sendOff:sendOff+half]...), halved)
+		}
+		halve()
+	}
+
 	if r < rem {
-		in := n.Recv(r + pow2)
-		for i, v := range in {
-			out[i] += v
-		}
-		n.ChargeReduce(len(in))
+		c.Recv(r+pow2, func(in []float32) {
+			for i, v := range in {
+				out[i] += v
+			}
+			c.ChargeReduce(len(in))
+			core()
+		})
+		return
 	}
-
-	// Pad the working vector to a multiple of pow2 so halving is exact.
-	padded := len(out)
-	if padded%pow2 != 0 {
-		padded += pow2 - padded%pow2
-	}
-	work := make([]float32, padded)
-	copy(work, out)
-
-	// Reduce-scatter by recursive halving: exchange with peers at
-	// distance pow2/2, pow2/4, ..., 1, halving the live span each time.
-	type span struct{ off, cnt, peer, d int }
-	var history []span
-	off, cnt := 0, padded
-	for d := pow2 / 2; d >= 1; d /= 2 {
-		peer := r ^ d
-		half := cnt / 2
-		var sendOff, keepOff int
-		if r&d == 0 {
-			sendOff, keepOff = off+half, off
-		} else {
-			sendOff, keepOff = off, off+half
-		}
-		chunk := append([]float32(nil), work[sendOff:sendOff+half]...)
-		in := n.SendRecv(peer, chunk)
-		for i, v := range in {
-			work[keepOff+i] += v
-		}
-		n.ChargeReduce(half)
-		history = append(history, span{off: keepOff, cnt: half, peer: peer, d: d})
-		off, cnt = keepOff, half
-	}
-
-	// Allgather by recursive doubling: replay the halving history in
-	// reverse. At reversed step i the rank owns exactly the span it
-	// kept at halving step i; the peer owns the complementary half of
-	// the parent span.
-	for i := len(history) - 1; i >= 0; i-- {
-		h := history[i]
-		chunk := append([]float32(nil), work[h.off:h.off+h.cnt]...)
-		in := n.SendRecv(h.peer, chunk)
-		var otherOff int
-		if r&h.d == 0 { // we kept the lower half, peer has the upper
-			otherOff = h.off + h.cnt
-		} else {
-			otherOff = h.off - h.cnt
-		}
-		copy(work[otherOff:otherOff+h.cnt], in)
-	}
-
-	copy(out, work[:len(out)])
-
-	// Unfold: ship the finished result to the folded partner.
-	if r < rem {
-		n.Send(r+pow2, out)
-	}
-	return out
+	core()
 }

@@ -10,9 +10,17 @@ import (
 	"swcaffe/internal/topology"
 )
 
-// gatherDES runs the DES form of an algorithm on a fresh event-driven
-// cluster and returns every rank's output plus the run result.
-func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, alg AlgorithmDES) ([][]float32, des.Result) {
+// desAlgorithm is an all-reduce entry point on a discrete-event rank.
+type desAlgorithm func(r *des.Rank, data []float32, k func([]float32))
+
+// onDES runs body over a whole vector on a discrete-event rank.
+func onDES(body Body) desAlgorithm {
+	return func(r *des.Rank, data []float32, k func([]float32)) { body(DESComm(r), data, 0, len(data), k) }
+}
+
+// gatherDES runs an algorithm on a fresh event-driven cluster and
+// returns every rank's output plus the run result.
+func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]float32, alg desAlgorithm) ([][]float32, des.Result) {
 	cl := des.NewCluster(net, m, p)
 	res, out := cl.RunGather(func(r *des.Rank) {
 		alg(r, inputs[r.Rank], r.Finish)
@@ -20,20 +28,20 @@ func gatherDES(net *topology.Network, m topology.Mapping, p int, inputs [][]floa
 	return out, res
 }
 
-// desPairs returns the blocking/DES algorithm pairs under test.
+// desPairs returns the goroutine/DES entry-point pairs under test.
 func desPairs() []struct {
 	name string
 	gor  Algorithm
-	des  AlgorithmDES
+	des  desAlgorithm
 } {
 	return []struct {
 		name string
 		gor  Algorithm
-		des  AlgorithmDES
+		des  desAlgorithm
 	}{
-		{NameRing, Ring, RingDES},
-		{NameBinomial, BinomialTree, BinomialTreeDES},
-		{NameRHD, RecursiveHalvingDoubling, RecursiveHalvingDoublingDES},
+		{NameRing, Ring, onDES(ringSegment)},
+		{NameBinomial, BinomialTree, onDES(binomialTree)},
+		{NameRHD, RecursiveHalvingDoubling, onDES(recursiveHalvingDoubling)},
 		{NameHierarchical, Hierarchical, HierarchicalDES},
 	}
 }
@@ -147,20 +155,20 @@ func TestDESHierPhaseHook(t *testing.T) {
 
 	var mu sync.Mutex
 	gorPhases := make(map[int][]HierPhase)
-	prev := SetHierPhaseHook(func(n *simnet.Node, phase HierPhase) {
+	prev := SetHierPhaseHook(func(c Comm, phase HierPhase) {
 		mu.Lock()
-		gorPhases[n.Rank] = append(gorPhases[n.Rank], phase)
+		gorPhases[c.Index()] = append(gorPhases[c.Index()], phase)
 		mu.Unlock()
 	})
 	gather(net, m, p, inputs, Hierarchical)
 	SetHierPhaseHook(prev)
 
 	desPhases := make(map[int][]HierPhase)
-	prevDES := SetHierPhaseHookDES(func(r *des.Rank, phase HierPhase) {
-		desPhases[r.Rank] = append(desPhases[r.Rank], phase)
+	prevDES := SetHierPhaseHook(func(c Comm, phase HierPhase) {
+		desPhases[c.Index()] = append(desPhases[c.Index()], phase)
 	})
 	gatherDES(net, m, p, inputs, HierarchicalDES)
-	SetHierPhaseHookDES(prevDES)
+	SetHierPhaseHook(prevDES)
 
 	for r := 0; r < p; r++ {
 		if len(gorPhases[r]) != 3 || len(desPhases[r]) != 3 {

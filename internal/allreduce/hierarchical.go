@@ -52,13 +52,20 @@ func Hierarchical(n *simnet.Node, data []float32) []float32 {
 // behind the collective engine's hierarchical overlap. With lo=0,
 // total=len(data) the schedule degenerates to the one-shot form.
 func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float32 {
-	hierPhase(n, HierIntraReduceScatter)
+	return runBody(n, hierarchicalSegment, data, lo, total)
+}
+
+// hierarchicalSegment is the body of HierarchicalSegment. It fires the
+// phase hook (see SetHierPhaseHook) at each phase boundary.
+func hierarchicalSegment(c Comm, data []float32, lo, total int, k func([]float32)) {
+	hierPhase(c, HierIntraReduceScatter)
 	out := append([]float32(nil), data...)
-	p := n.P()
+	p := c.P()
 	if p == 1 {
-		return out
+		k(out)
+		return
 	}
-	groups := topology.Members(n.Mapping(), p)
+	groups := topology.Members(c.Mapping(), p)
 	K := len(groups[0])
 	for _, g := range groups {
 		if len(g) < K {
@@ -74,12 +81,12 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 	}
 
 	// Locate this rank within its physical supernode group.
-	r := n.Rank
+	rank := c.Index()
 	var group []int
 	j := -1
 	for _, g := range groups {
 		for i, m := range g {
-			if m == r {
+			if m == rank {
 				j, group = i, g
 				break
 			}
@@ -89,104 +96,135 @@ func HierarchicalSegment(n *simnet.Node, data []float32, lo, total int) []float3
 		}
 	}
 	if group == nil {
-		panic(fmt.Sprintf("allreduce: rank %d missing from supernode groups %v", r, groups))
+		panic(fmt.Sprintf("allreduce: rank %d missing from supernode groups %v", rank, groups))
 	}
 
-	chunkAt := func(c int) (int, int) { return bounds[c] - lo, bounds[c+1] - lo }
-	// chunkLive reports whether chunk c carries traffic in this call:
-	// it exists (c < K), falls in the segment, and is non-empty. The
+	chunkAt := func(ch int) (int, int) { return bounds[ch] - lo, bounds[ch+1] - lo }
+	// chunkLive reports whether chunk ch carries traffic in this call:
+	// it exists (ch < K), falls in the segment, and is non-empty. The
 	// predicate is the same on both ends of an exchange, so partners
 	// always agree on whether to meet.
-	chunkLive := func(c int) bool {
-		if c < c0 || c >= c1 {
+	chunkLive := func(ch int) bool {
+		if ch < c0 || ch >= c1 {
 			return false
 		}
-		clo, chi := chunkAt(c)
+		clo, chi := chunkAt(ch)
 		return clo != chi
 	}
 	g := len(group)
 
-	// Phase A: intra-supernode reduce-scatter as a round-robin
+	// tournament runs one intra-supernode phase as a round-robin
 	// tournament of pairwise exchanges — every pair of members meets
 	// exactly once per phase, and the full-duplex SendRecv charges one
-	// α+βn for the pair (the same discipline that makes RHD fast on
-	// simnet's blocking links). In the exchange (i, pt), i ships its
-	// data for chunk pt and receives pt's contribution to chunk i;
-	// owner j therefore accumulates peer contributions in tournament-
-	// round order — a fixed association schedule shared by the barrier
-	// form and every segment. Sends are views of the caller's data, not
-	// of out: phase A writes only chunk j of out, so chunk pt holds the
-	// same floats in both, but phase C overwrites out's chunks before a
-	// buffered message is necessarily consumed, while data is never
-	// modified. The clipped capacity keeps receivers from appending
-	// into the caller's vector.
-	for r := 0; r < tournamentRounds(g); r++ {
-		pt := tournamentPartner(j, r, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			continue
+	// α+βn for the pair. Each round with a live chunk on either side
+	// ships send(pt) to partner pt and hands the reply to recv, then
+	// done fires. The loop state lives outside the continuation, so one
+	// closure serves every round instead of one per message.
+	tournament := func(send func(pt int) []float32, recv func(pt int, in []float32), done func()) {
+		round, pt := 0, 0
+		var step func()
+		next := func(in []float32) {
+			recv(pt, in)
+			round++
+			step()
 		}
-		var send []float32
-		if chunkLive(pt) {
-			plo, phi := chunkAt(pt)
-			send = data[plo:phi:phi]
-		}
-		in := n.SendRecv(group[pt], send)
-		if chunkLive(j) {
-			clo, _ := chunkAt(j)
-			for x, v := range in {
-				out[clo+x] += v
+		step = func() {
+			for ; round < tournamentRounds(g); round++ {
+				pt = tournamentPartner(j, round, g)
+				if pt >= 0 && (chunkLive(pt) || chunkLive(j)) {
+					c.SendRecv(group[pt], send(pt), next)
+					return
+				}
 			}
-			n.ChargeReduce(len(in))
+			done()
 		}
+		step()
 	}
 
-	// Phase B: recursive halving/doubling among chunk c's leaders —
-	// the c-th member of every supernode (K = min group size, so every
-	// group has one). The leader groups are disjoint rank sets running
-	// concurrently, each over its own 1/K share of the vector.
-	hierPhase(n, HierLeaderRHD)
-	for c := c0; c < c1; c++ {
-		if j != c {
-			continue
-		}
-		clo, chi := chunkAt(c)
-		if clo == chi {
-			continue
-		}
-		leaders := make([]int, len(groups))
-		for s, g := range groups {
-			leaders[s] = g[c]
-		}
-		if len(leaders) > 1 {
-			sub := n.InGroup(leaders)
-			red := RecursiveHalvingDoubling(sub, out[clo:chi])
-			copy(out[clo:chi], red)
-		}
-	}
-
-	// Phase C: intra-supernode allgather, the same pairwise tournament
-	// in reverse roles — each exchange hands over the two partners'
+	// Phase C: intra-supernode allgather, the same tournament in
+	// reverse roles — each exchange hands over the two partners'
 	// finished chunks, so every member leaves with every chunk after
 	// g-1 rounds. The finished chunk is sent by reference: its owner
 	// never rewrites it within this run, and receivers copy out.
-	hierPhase(n, HierAllgather)
-	for r := 0; r < tournamentRounds(g); r++ {
-		pt := tournamentPartner(j, r, g)
-		if pt < 0 || (!chunkLive(pt) && !chunkLive(j)) {
-			continue
+	sendC := func(int) []float32 {
+		if !chunkLive(j) {
+			return nil
 		}
-		var send []float32
-		if chunkLive(j) {
-			clo, chi := chunkAt(j)
-			send = out[clo:chi]
-		}
-		in := n.SendRecv(group[pt], send)
+		clo, chi := chunkAt(j)
+		return out[clo:chi]
+	}
+	recvC := func(pt int, in []float32) {
 		if chunkLive(pt) {
 			plo, _ := chunkAt(pt)
 			copy(out[plo:], in)
 		}
 	}
-	return out
+	startC := func() {
+		hierPhase(c, HierAllgather)
+		tournament(sendC, recvC, func() { k(out) })
+	}
+
+	// Phase B: recursive halving/doubling among chunk ch's leaders —
+	// the ch-th member of every supernode (K = min group size, so every
+	// group has one) — on an InGroup view. The leader groups are
+	// disjoint rank sets running concurrently, each over its own 1/K
+	// share of the vector; j == ch for at most one chunk of this rank.
+	var phaseB func(ch int)
+	phaseB = func(ch int) {
+		if ch >= c1 {
+			startC()
+			return
+		}
+		if j != ch {
+			phaseB(ch + 1)
+			return
+		}
+		clo, chi := chunkAt(ch)
+		if clo == chi || len(groups) == 1 {
+			phaseB(ch + 1)
+			return
+		}
+		leaders := make([]int, len(groups))
+		for s, gg := range groups {
+			leaders[s] = gg[ch]
+		}
+		recursiveHalvingDoubling(c.InGroup(leaders), out[clo:chi], 0, chi-clo, func(red []float32) {
+			copy(out[clo:chi], red)
+			phaseB(ch + 1)
+		})
+	}
+	startB := func() {
+		hierPhase(c, HierLeaderRHD)
+		phaseB(c0)
+	}
+
+	// Phase A: intra-supernode reduce-scatter tournament. In the
+	// exchange (j, pt), j ships its data for chunk pt and receives pt's
+	// contribution to chunk j; owner j therefore accumulates peer
+	// contributions in tournament-round order — a fixed association
+	// schedule shared by the barrier form and every segment. Sends are
+	// views of the caller's data, not of out: phase A writes only chunk
+	// j of out, so chunk pt holds the same floats in both, but phase C
+	// overwrites out's chunks before a buffered message is necessarily
+	// consumed, while data is never modified. The clipped capacity
+	// keeps receivers from appending into the caller's vector.
+	sendA := func(pt int) []float32 {
+		if !chunkLive(pt) {
+			return nil
+		}
+		plo, phi := chunkAt(pt)
+		return data[plo:phi:phi]
+	}
+	recvA := func(_ int, in []float32) {
+		if chunkLive(j) {
+			clo, _ := chunkAt(j)
+			for x, v := range in {
+				out[clo+x] += v
+			}
+			c.ChargeReduce(len(in))
+		}
+	}
+	tournament(sendA, recvA, startB)
 }
 
 // tournamentRounds returns the round count of the all-pairs exchange

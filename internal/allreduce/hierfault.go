@@ -1,10 +1,6 @@
 package allreduce
 
-import (
-	"sync/atomic"
-
-	"swcaffe/internal/simnet"
-)
+import "sync/atomic"
 
 // Fault-injection seam for the hierarchical schedule. The flat
 // algorithms are killable from the collective engine's per-bucket
@@ -29,19 +25,20 @@ const (
 	HierAllgather HierPhase = "allgather"
 )
 
-// hierPhaseHook runs on every rank at each phase boundary of
-// HierarchicalSegment; the nil fast path keeps the production
-// schedule untouched. It is atomic rather than a plain var because
-// a killed collective strands its surviving rank goroutines without
-// joining them (see simnet.Cluster.Run), and a stranded rank may
-// still cross a phase boundary while the test goroutine re-arms the
-// hook for the next kill.
-var hierPhaseHook atomic.Pointer[func(n *simnet.Node, phase HierPhase)]
+// hierPhaseHook runs on every rank's world view at each phase boundary
+// of the hierarchical schedule, on either backend; the nil fast path
+// keeps the production schedule untouched. It is atomic rather than a
+// plain var because a killed goroutine-backend collective strands its
+// surviving rank goroutines without joining them (see
+// simnet.Cluster.Run), and a stranded rank may still cross a phase
+// boundary while the test goroutine re-arms the hook for the next
+// kill.
+var hierPhaseHook atomic.Pointer[func(c Comm, phase HierPhase)]
 
 // SetHierPhaseHook installs (or, with nil, removes) the hierarchical
 // phase hook and returns the previous one so tests can restore it.
-func SetHierPhaseHook(h func(n *simnet.Node, phase HierPhase)) (prev func(n *simnet.Node, phase HierPhase)) {
-	var p *func(n *simnet.Node, phase HierPhase)
+func SetHierPhaseHook(h func(c Comm, phase HierPhase)) (prev func(c Comm, phase HierPhase)) {
+	var p *func(c Comm, phase HierPhase)
 	if h != nil {
 		p = &h
 	}
@@ -51,8 +48,8 @@ func SetHierPhaseHook(h func(n *simnet.Node, phase HierPhase)) (prev func(n *sim
 	return nil
 }
 
-func hierPhase(n *simnet.Node, phase HierPhase) {
+func hierPhase(c Comm, phase HierPhase) {
 	if h := hierPhaseHook.Load(); h != nil {
-		(*h)(n, phase)
+		(*h)(c, phase)
 	}
 }

@@ -1,94 +1,40 @@
 package collective
 
 import (
-	"fmt"
-
 	"swcaffe/internal/allreduce"
 	"swcaffe/internal/des"
 	"swcaffe/internal/simnet"
 )
 
 // Discrete-event flush path. The engine's bucket layout, staging,
-// commit protocol and attribution are backend-agnostic — only the
-// collective execution differs: instead of RunGather over rank
-// goroutines calling Strategy.Reduce, the DES backend runs the
-// continuation-passing algorithm forms on a des.Cluster. Dispatch is
-// by strategy name: the four built-ins have DES twins; a custom
-// Config.Algorithm body is a blocking function with no DES form, so
-// the trainer refuses to combine one with the DES backend and the
-// dispatch backstops that with a panic.
-
-// ReduceSegDES is the DES form of ReduceSeg: it runs the strategy's
-// collective over bucket b on one DES rank and fires done with the
-// reduced bucket after charging the final averaging sweep.
-func (e *Engine) ReduceSegDES(r *des.Rank, b int, pack []float32, done func([]float32)) {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(r.Rank, b)
-	}
-	bk := e.buckets[b]
-	e.reduceDES(r, pack[bk.Lo:bk.Hi], bk.Lo, func(out []float32) {
-		r.ChargeReduce(len(out))
-		done(out)
-	})
-}
-
-// ReduceFullDES is the DES form of ReduceFull — the barrier flush over
-// the whole packed vector.
-func (e *Engine) ReduceFullDES(r *des.Rank, pack []float32, done func([]float32)) {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(r.Rank, 0)
-	}
-	e.reduceDES(r, pack, 0, func(out []float32) {
-		r.ChargeReduce(len(out))
-		done(out)
-	})
-}
-
-// reduceDES dispatches to the DES twin of the active strategy's
-// collective body.
-func (e *Engine) reduceDES(r *des.Rank, seg []float32, lo int, k func([]float32)) {
-	if e.cfg.Algorithm != nil {
-		panic("collective: custom algorithm bodies have no DES form — run the goroutine backend")
-	}
-	switch e.strat.Name() {
-	case allreduce.NameRing:
-		allreduce.RingSegmentDES(r, seg, lo, e.total, k)
-	case allreduce.NameHierarchical:
-		allreduce.HierarchicalSegmentDES(r, seg, lo, e.total, k)
-	case allreduce.NameRHD:
-		allreduce.RecursiveHalvingDoublingDES(r, seg, k)
-	case allreduce.NameBinomial:
-		allreduce.BinomialTreeDES(r, seg, k)
-	default:
-		panic(fmt.Sprintf("collective: no DES form for algorithm %q", e.strat.Name()))
-	}
-}
+// commit protocol and attribution are backend-agnostic, and so is the
+// collective: the one flush body (Engine.reduce, the strategy's
+// all-reduce written once against allreduce.Comm) runs here on the
+// ranks of a des.Cluster instead of on simnet rank goroutines. A
+// custom Config.Algorithm body is a blocking function with no
+// discrete-event form, so the trainer refuses to combine one with the
+// DES backend, and allreduce.BlockingBody backstops that with a panic.
 
 // FlushSegDES runs bucket b's collective over every rank of the DES
 // cluster and returns the makespan/census (as a simnet.Result, so
 // Commit works unchanged) and the per-rank reduced outputs.
 func (e *Engine) FlushSegDES(c *des.Cluster, b int) (simnet.Result, [][]float32) {
-	views := e.views
-	res, outs := c.RunGather(func(r *des.Rank) {
-		e.ReduceSegDES(r, b, views[r.Rank], r.Finish)
-	})
-	return desResult(res), outs
+	return e.flushDES(c, b)
 }
 
 // FlushFullDES runs the barrier flush over every rank of the DES
 // cluster.
 func (e *Engine) FlushFullDES(c *des.Cluster) (simnet.Result, [][]float32) {
-	views := e.views
-	res, outs := c.RunGather(func(r *des.Rank) {
-		e.ReduceFullDES(r, views[r.Rank], r.Finish)
-	})
-	return desResult(res), outs
+	return e.flushDES(c, -1)
 }
 
-// desResult converts a DES run result into the simnet.Result shape the
-// engine's commit/attribution path consumes (the fields and their
-// arithmetic are identical by construction).
-func desResult(r des.Result) simnet.Result {
+// flushDES runs reduce for bucket b (the whole vector when b < 0) on
+// every DES rank.
+func (e *Engine) flushDES(c *des.Cluster, b int) (simnet.Result, [][]float32) {
+	views := e.views
+	r, outs := c.RunGather(func(r *des.Rank) {
+		e.reduce(allreduce.DESComm(r), b, views[r.Rank], r.Finish)
+	})
 	return simnet.Result{Time: r.Time, Clocks: r.Clocks,
-		Msgs: r.Msgs, CrossMsgs: r.CrossMsgs, CrossBytes: r.CrossBytes}
+		Msgs: r.Msgs, CrossMsgs: r.CrossMsgs, CrossBytes: r.CrossBytes}, outs
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"swcaffe/internal/allreduce"
-	"swcaffe/internal/des"
 	"swcaffe/internal/obs"
 	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
@@ -155,16 +154,15 @@ type Engine struct {
 	// anchors this step's flush windows on the cumulative trace
 	// timeline; hierNow/hierClks/clockSnaps capture the hierarchical
 	// schedule's internal phase clocks per rank per flush.
-	tracer          *obs.Tracer
-	tracePid        int
-	traceBase       float64
-	hierNow         [][3]float64   // per-rank phase-entry clocks of the flush in flight
-	hierClks        [][][3]float64 // [bucket][rank] snapshot at Commit
-	hierFull        [][3]float64   // barrier-flush snapshot
-	clockSnaps      [][]float64    // [bucket][rank] finishing clocks at Commit
-	clockFull       []float64
-	prevHierHook    func(n *simnet.Node, phase allreduce.HierPhase)
-	prevHierHookDES func(r *des.Rank, phase allreduce.HierPhase)
+	tracer       *obs.Tracer
+	tracePid     int
+	traceBase    float64
+	hierNow      [][3]float64   // per-rank phase-entry clocks of the flush in flight
+	hierClks     [][][3]float64 // [bucket][rank] snapshot at Commit
+	hierFull     [][3]float64   // barrier-flush snapshot
+	clockSnaps   [][]float64    // [bucket][rank] finishing clocks at Commit
+	clockFull    []float64
+	prevHierHook func(c allreduce.Comm, phase allreduce.HierPhase)
 }
 
 // BucketStat is the per-bucket attribution of one committed step: the
@@ -379,25 +377,32 @@ func (e *Engine) RankViews() [][]float32 { return e.views }
 // captured view (see RankViews), and charges the final averaging
 // sweep.
 func (e *Engine) ReduceSeg(n *simnet.Node, b int, pack []float32) []float32 {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(n.Rank, b)
-	}
-	bk := e.buckets[b]
-	out := e.strat.Reduce(n, pack[bk.Lo:bk.Hi], bk.Lo, e.total)
-	n.ChargeReduce(len(out))
-	return out
+	return allreduce.OnNode(n, func(c allreduce.Comm, k func([]float32)) { e.reduce(c, b, pack, k) })
 }
 
 // ReduceFull runs the strategy's collective over the whole packed
 // vector — the barrier flush. Bit-identical to flushing the buckets:
 // that is the strategies' contract.
 func (e *Engine) ReduceFull(n *simnet.Node, pack []float32) []float32 {
-	if e.cfg.FlushHook != nil {
-		e.cfg.FlushHook(n.Rank, 0)
+	return allreduce.OnNode(n, func(c allreduce.Comm, k func([]float32)) { e.reduce(c, -1, pack, k) })
+}
+
+// reduce is the flush body both backends run on one rank: the flush
+// hook, the strategy's collective over bucket b of pack (the whole
+// vector when b < 0, which the hook sees as bucket 0), then the charge
+// of the final averaging sweep before k receives the reduced values.
+func (e *Engine) reduce(c allreduce.Comm, b int, pack []float32, k func([]float32)) {
+	lo, hi := 0, e.total
+	if b >= 0 {
+		lo, hi = e.buckets[b].Lo, e.buckets[b].Hi
 	}
-	out := e.strat.Reduce(n, pack, 0, e.total)
-	n.ChargeReduce(len(out))
-	return out
+	if e.cfg.FlushHook != nil {
+		e.cfg.FlushHook(c.Index(), max(b, 0))
+	}
+	e.strat.Reduce(c, pack[lo:hi], lo, e.total, func(out []float32) {
+		c.ChargeReduce(len(out))
+		k(out)
+	})
 }
 
 // PackFull copies every parameter gradient of one rank into its
@@ -614,9 +619,7 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 	if tr == nil {
 		if e.hierNow != nil {
 			allreduce.SetHierPhaseHook(e.prevHierHook)
-			allreduce.SetHierPhaseHookDES(e.prevHierHookDES)
 			e.prevHierHook = nil
-			e.prevHierHookDES = nil
 			e.hierNow, e.hierClks, e.clockSnaps = nil, nil, nil
 			e.hierFull, e.clockFull = nil, nil
 		}
@@ -636,37 +639,19 @@ func (e *Engine) SetTrace(tr *obs.Tracer, pid int) {
 		for b := range e.hierClks {
 			e.hierClks[b] = make([][3]float64, e.cfg.Ranks)
 		}
-		e.prevHierHook = allreduce.SetHierPhaseHook(func(n *simnet.Node, phase allreduce.HierPhase) {
-			if n.Rank < len(e.hierNow) {
+		e.prevHierHook = allreduce.SetHierPhaseHook(func(c allreduce.Comm, phase allreduce.HierPhase) {
+			if r := c.Index(); r < len(e.hierNow) {
 				switch phase {
 				case allreduce.HierIntraReduceScatter:
-					e.hierNow[n.Rank][0] = n.Clock()
+					e.hierNow[r][0] = c.Clock()
 				case allreduce.HierLeaderRHD:
-					e.hierNow[n.Rank][1] = n.Clock()
+					e.hierNow[r][1] = c.Clock()
 				case allreduce.HierAllgather:
-					e.hierNow[n.Rank][2] = n.Clock()
+					e.hierNow[r][2] = c.Clock()
 				}
 			}
 			if e.prevHierHook != nil {
-				e.prevHierHook(n, phase)
-			}
-		})
-		// The DES flush path fires the same boundaries through the DES
-		// twin hook; capture into the same hierNow so Commit snapshots
-		// are backend-agnostic.
-		e.prevHierHookDES = allreduce.SetHierPhaseHookDES(func(r *des.Rank, phase allreduce.HierPhase) {
-			if r.Rank < len(e.hierNow) {
-				switch phase {
-				case allreduce.HierIntraReduceScatter:
-					e.hierNow[r.Rank][0] = r.Clock()
-				case allreduce.HierLeaderRHD:
-					e.hierNow[r.Rank][1] = r.Clock()
-				case allreduce.HierAllgather:
-					e.hierNow[r.Rank][2] = r.Clock()
-				}
-			}
-			if e.prevHierHookDES != nil {
-				e.prevHierHookDES(r, phase)
+				e.prevHierHook(c, phase)
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"swcaffe/internal/allreduce"
-	"swcaffe/internal/simnet"
 	"swcaffe/internal/topology"
 )
 
@@ -37,11 +36,11 @@ type Strategy interface {
 	Snap(cut, total, p int) int
 	SnapUp(cut, total, p int) int
 	// Reduce runs the collective over seg, the [lo, lo+len(seg))
-	// slice of the packed vector, on one simnet rank. On return every
-	// rank holds the elementwise sum — with the same association
-	// order the algorithm would use on the whole packed vector, so
-	// bucketed and barrier flushes agree bit for bit.
-	Reduce(n *simnet.Node, seg []float32, lo, total int) []float32
+	// slice of the packed vector, on one rank of either backend; k
+	// receives the elementwise sum — with the same association order
+	// the algorithm would use on the whole packed vector, so bucketed
+	// and barrier flushes agree bit for bit.
+	Reduce(c allreduce.Comm, seg []float32, lo, total int, k func([]float32))
 	// Cost prices the flush of the [lo, hi) bucket of a packed
 	// float32 vector of total elements with the closed-form α-β-γ
 	// model (paper Eqns. 2–6 plus allreduce.HierarchicalCost; see
@@ -54,23 +53,28 @@ type Strategy interface {
 	Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) allreduce.Cost
 }
 
+// reducer is the Reduce every strategy shares: it runs the strategy's
+// all-reduce body.
+type reducer struct{ body allreduce.Body }
+
+func (r reducer) Reduce(c allreduce.Comm, seg []float32, lo, total int, k func([]float32)) {
+	r.body(c, seg, lo, total, k)
+}
+
 // uniform wraps an element-uniform algorithm (every element is
 // reduced with the same cross-rank association order regardless of
 // its position in the vector — recursive halving/doubling, binomial
 // tree, and by assumption any caller-supplied custom body): buckets
 // may cut anywhere.
 type uniform struct {
+	reducer
 	name string
-	alg  allreduce.Algorithm
 	cost allreduce.CostFunc
 }
 
 func (u uniform) Name() string             { return u.name }
 func (u uniform) Snap(cut, _, _ int) int   { return cut }
 func (u uniform) SnapUp(cut, _, _ int) int { return cut }
-func (u uniform) Reduce(n *simnet.Node, seg []float32, _, _ int) []float32 {
-	return u.alg(n, seg)
-}
 func (u uniform) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool) allreduce.Cost {
 	return u.cost(net, p, float64(hi-lo)*4, onCPE)
 }
@@ -110,16 +114,12 @@ func snapChunkUp(cut, total, k int) int {
 // with a rotation order that depends on c, so buckets must be whole
 // runs of the global chunk partition and each bucket runs the full
 // ring's schedule restricted to its chunks (allreduce.RingSegment).
-type ringChunkAligned struct{}
+type ringChunkAligned struct{ reducer }
 
 func (ringChunkAligned) Name() string { return allreduce.NameRing }
 
 func (ringChunkAligned) Snap(cut, total, p int) int   { return snapChunkDown(cut, total, p) }
 func (ringChunkAligned) SnapUp(cut, total, p int) int { return snapChunkUp(cut, total, p) }
-
-func (ringChunkAligned) Reduce(n *simnet.Node, seg []float32, lo, total int) []float32 {
-	return allreduce.RingSegment(n, seg, lo, total)
-}
 
 func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool) allreduce.Cost {
 	return allreduce.RingCost(net, p, float64(hi-lo)*4, onCPE)
@@ -134,6 +134,7 @@ func (ringChunkAligned) Cost(net *topology.Network, p, lo, hi, _ int, onCPE bool
 // mapping must be the same one the executing simnet cluster uses —
 // the trainer passes its own through Config.Mapping.
 type hierChunkAligned struct {
+	reducer
 	mapping topology.Mapping
 }
 
@@ -145,10 +146,6 @@ func (h hierChunkAligned) Snap(cut, total, p int) int {
 
 func (h hierChunkAligned) SnapUp(cut, total, p int) int {
 	return snapChunkUp(cut, total, topology.MinGroupSize(h.mapping, p))
-}
-
-func (hierChunkAligned) Reduce(n *simnet.Node, seg []float32, lo, total int) []float32 {
-	return allreduce.HierarchicalSegment(n, seg, lo, total)
 }
 
 func (h hierChunkAligned) Cost(net *topology.Network, p, lo, hi, total int, onCPE bool) allreduce.Cost {
@@ -190,7 +187,7 @@ func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mappi
 		if label == "" {
 			label = "custom"
 		}
-		return uniform{name: label, alg: custom, cost: cost}, nil
+		return uniform{reducer{allreduce.BlockingBody(custom)}, label, cost}, nil
 	}
 	switch name {
 	case "":
@@ -198,15 +195,15 @@ func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mappi
 	case NameAuto:
 		return nil, fmt.Errorf("collective: %q is a selector directive, not a strategy — resolve it with SelectPlan", NameAuto)
 	}
-	switch name {
-	case allreduce.NameRing:
-		return ringChunkAligned{}, nil
-	case allreduce.NameHierarchical:
-		return hierChunkAligned{mapping: mapping}, nil
-	}
-	alg, err := allreduce.ByName(name)
+	body, err := allreduce.BodyByName(name)
 	if err != nil {
 		return nil, err
+	}
+	switch name {
+	case allreduce.NameRing:
+		return ringChunkAligned{reducer{body}}, nil
+	case allreduce.NameHierarchical:
+		return hierChunkAligned{reducer{body}, mapping}, nil
 	}
 	cost, err := allreduce.CostByName(name)
 	if err != nil {
@@ -215,5 +212,5 @@ func StrategyFor(name string, custom allreduce.Algorithm, mapping topology.Mappi
 	if name == allreduce.NameRHD && mapping.Name() == (topology.AdjacentMapping{}).Name() {
 		cost = allreduce.OriginalRHDCost
 	}
-	return uniform{name: name, alg: alg, cost: cost}, nil
+	return uniform{reducer{body}, name, cost}, nil
 }

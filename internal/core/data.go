@@ -32,10 +32,12 @@ type DataFeeder struct {
 	nextLabels *tensor.Tensor
 
 	// SimReadTime accumulates the simulated storage read time per
-	// fetched batch when a pario config is attached.
+	// fetched batch when a pario config is attached; nextRead is the
+	// priced read of the staged batch, which Next hands out with it.
 	io          *pario.Config
 	procs       int
 	SimReadTime float64
+	nextRead    float64
 }
 
 // NewDataFeeder builds a feeder producing (batch, C, H, W) tensors
@@ -86,8 +88,10 @@ func (f *DataFeeder) loop() {
 		}
 
 		f.mu.Lock()
+		f.nextRead = 0
 		if f.io != nil {
-			f.SimReadTime += f.io.ReadTime(f.procs, f.nextData.Bytes())
+			f.nextRead = f.io.ReadTime(f.procs, f.nextData.Bytes())
+			f.SimReadTime += f.nextRead
 		}
 		f.ready = true
 		f.cond.Broadcast()
@@ -95,20 +99,13 @@ func (f *DataFeeder) loop() {
 	}
 }
 
-// ReadTimeTotal returns the accumulated simulated storage read time,
-// safe to call while the prefetch thread is mid-fill (SimReadTime
-// itself is only safe to read once the feeder is quiescent). This is
-// the accessor the CGTrainer's step report differences.
-func (f *DataFeeder) ReadTimeTotal() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.SimReadTime
-}
-
-// Next copies the prefetched batch into data/labels and wakes the
-// prefetcher for the following one. It blocks if the prefetch is
-// still in flight.
-func (f *DataFeeder) Next(data, labels *tensor.Tensor) {
+// Next copies the prefetched batch into data/labels, wakes the
+// prefetcher for the following one, and returns the batch's priced
+// storage read time (0 without AttachStorage). It blocks if the
+// prefetch is still in flight. The read time is taken under the same
+// lock as the batch, so a refill that races ahead is never counted
+// against this batch.
+func (f *DataFeeder) Next(data, labels *tensor.Tensor) (readTime float64) {
 	f.mu.Lock()
 	for !f.ready && !f.stopped {
 		f.cond.Wait()
@@ -119,9 +116,11 @@ func (f *DataFeeder) Next(data, labels *tensor.Tensor) {
 	}
 	data.CopyFrom(f.nextData)
 	labels.CopyFrom(f.nextLabels)
+	readTime = f.nextRead
 	f.ready = false
 	f.cond.Broadcast()
 	f.mu.Unlock()
+	return readTime
 }
 
 // Stop terminates the prefetch goroutine. The feeder cannot be reused.

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -369,5 +370,57 @@ func TestShrinkReplansIO(t *testing.T) {
 	}
 	if d.LastStep.IO <= 0 {
 		t.Fatal("post-shrink step priced no I/O")
+	}
+}
+
+// blankImages is a dataset whose examples cost nothing to produce:
+// Example leaves dst as it is. With large examples the prefetch refill
+// is then far quicker than the trainer's scatter of the batch it just
+// received, so the refill finishes before that step's read is booked.
+type blankImages struct{ h, w int }
+
+func (blankImages) Len() int                       { return 1 << 20 }
+func (blankImages) Classes() int                   { return 2 }
+func (blankImages) Example(i int, _ []float32) int { return i % 2 }
+func (b blankImages) Dims() (c, h, w int)          { return 1, b.h, b.w }
+
+// TestCGTrainerReadCountsOneBatch pins the per-step read accounting
+// against the prefetch thread: the read booked for a step is the
+// priced read of exactly the batch the step consumed, even when the
+// prefetcher has already refilled — and priced — the next batch by the
+// time the step books it. Several processors let the refill run
+// alongside the scatter.
+func TestCGTrainerReadCountsOneBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const quarter, h, w = 16, 128, 128
+	build := func() (*core.Net, map[string]*tensor.Tensor, error) {
+		net := core.NewNet("wide", "data", "label")
+		net.AddLayers(
+			core.NewInnerProduct(core.InnerProductConfig{
+				Name: "fc", Bottom: "data", Top: "fc", NumOutput: 2, BiasTerm: true}),
+			core.NewSoftmaxLoss("loss", "fc", "label", "loss"),
+		)
+		inputs := map[string]*tensor.Tensor{
+			"data":  tensor.New(quarter, 1, h, w),
+			"label": tensor.New(quarter, 1, 1, 1),
+		}
+		return net, inputs, net.Setup(inputs)
+	}
+	tr, err := NewCGTrainer(build, core.SolverConfig{BaseLR: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	storage := pario.DefaultTaihuLight(1)
+	tr.AttachInput(blankImages{h, w}, storage)
+	want := storage.ReadTime(1, tr.unionData.Bytes())
+	for it := 0; it < 8; it++ {
+		tr.fetchInput()
+		if tr.LastRead != want {
+			t.Fatalf("fetch %d booked read %g, want one batch's %g", it, tr.LastRead, want)
+		}
+	}
+	if got := want * 8; tr.ReadTime != got {
+		t.Fatalf("accumulated read %g, want %g", tr.ReadTime, got)
 	}
 }

@@ -873,16 +873,15 @@ type CGTrainer struct {
 	// Input pipeline (AttachInput): a core.DataFeeder prefetches the
 	// union mini-batch — the four CGs' quarters in one sequential read,
 	// the single-reader contention point of the one-node trainer — and
-	// Step scatters it. The read accounting is the feeder's priced
-	// SimReadTime, surfaced per step instead of accumulating unread:
-	// LastRead is the step's modeled read, LastExposedRead the part the
+	// Step scatters it. The read accounting is the priced read of the
+	// batch the feeder hands out, surfaced per step: LastRead is the
+	// step's modeled read, LastExposedRead the part the
 	// previous step's makespan could not hide (the whole read on the
 	// cold first fetch). ReadTime/ExposedReadTime accumulate across
 	// steps; SimTime stays compute-only so the two costs stay separable.
 	feeder          *core.DataFeeder
 	unionData       *tensor.Tensor
 	unionLabels     *tensor.Tensor
-	feederRead      float64
 	lastSpan        float64
 	firstFetch      bool
 	LastRead        float64
@@ -949,7 +948,6 @@ func (t *CGTrainer) AttachInput(ds dataset.Dataset, storage pario.Config) {
 	f := core.NewDataFeeder(ds, union, false, 0)
 	f.AttachStorage(storage, 1)
 	t.feeder = f
-	t.feederRead = 0
 	t.lastSpan = 0
 	t.firstFetch = true
 }
@@ -961,16 +959,13 @@ func (t *CGTrainer) fetchInput() {
 	if t.feeder == nil {
 		return
 	}
-	t.feeder.Next(t.unionData, t.unionLabels)
+	read := t.feeder.Next(t.unionData, t.unionLabels)
 	quarter := t.CGs[0].Data.N
 	qElems := quarter * t.unionData.C * t.unionData.H * t.unionData.W
 	for i, w := range t.CGs {
 		copy(w.Data.Data, t.unionData.Data[i*qElems:(i+1)*qElems])
 		copy(w.Labels.Data, t.unionLabels.Data[i*quarter:(i+1)*quarter])
 	}
-	total := t.feeder.ReadTimeTotal()
-	read := total - t.feederRead
-	t.feederRead = total
 	exposed := read
 	if !t.firstFetch {
 		// Steady state: the fetch overlapped the previous step's node
